@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.algorithms.keys import descending_keys
 from repro.errors import InvalidParameterError
 from repro.gpu.counters import ExecutionTrace
 from repro.gpu.device import DeviceSpec, get_device
@@ -90,17 +91,16 @@ def validate_topk_args(data: np.ndarray, k: int) -> None:
 def reference_topk(data: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Ground-truth top-k via full sort — the testing oracle.
 
-    Returns (values, indices), values sorted descending.  Ties are broken by
-    lower index first (stable), matching all our algorithm implementations.
+    Returns (values, indices), values sorted descending under
+    :func:`~repro.algorithms.keys.descending_keys`, ties broken by lower
+    index first (stable).  The contract every exact algorithm meets is
+    weaker on ties: its values are bit-equal to the oracle's, and its
+    indices name distinct rows holding those values — which of several
+    tied rows is returned may differ (bitonic top-k, for one, does not
+    prefer the lower index).
     """
     validate_topk_args(data, k)
-    if data.dtype.kind == "f":
-        keys = -data
-    elif data.dtype == np.uint64:
-        keys = np.iinfo(np.uint64).max - data
-    else:
-        keys = -data.astype(np.int64)
-    order = np.argsort(keys, kind="stable")
+    order = np.argsort(descending_keys(data), kind="stable")
     indices = order[:k]
     return data[indices], indices
 

@@ -101,6 +101,23 @@ def decode(codes: np.ndarray, dtype: np.dtype) -> np.ndarray:
     raise InvalidParameterError(f"unsupported radix key dtype {dtype}")
 
 
+def descending_keys(values: np.ndarray) -> np.ndarray:
+    """Sort keys whose *ascending* order is the canonical descending value
+    order — the one definition ``reference_topk`` and the sharded merge
+    share.
+
+    Floats are negated (NaN stays NaN and sorts last; -0.0 ties with 0.0).
+    Integers are complemented: ``~x == -x - 1`` reverses the order exactly
+    and, unlike negation, cannot wrap at the dtype minimum.  Narrower
+    integers are widened to int64 first; uint64 is complemented in place.
+    """
+    if values.dtype.kind == "f":
+        return -values
+    if values.dtype == np.uint64:
+        return ~values
+    return ~values.astype(np.int64)
+
+
 def digit(codes: np.ndarray, shift: int, digit_bits: int = 8) -> np.ndarray:
     """Extract the digit at bit offset ``shift`` as small integers."""
     if shift < 0 or digit_bits <= 0:

@@ -35,6 +35,11 @@ def is_power_of_two(value: int) -> bool:
     return value > 0 and value & (value - 1) == 0
 
 
+def next_power_of_two(value: int) -> int:
+    """The smallest power of two >= ``value`` (1 for ``value <= 1``)."""
+    return 1 << max(0, (value - 1).bit_length())
+
+
 def validate_power_of_two(value: int, what: str) -> None:
     if not is_power_of_two(value):
         raise InvalidParameterError(f"{what} must be a power of two, got {value}")

@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from repro.algorithms.base import TopKAlgorithm, TopKResult, validate_topk_args
-from repro.bitonic.network import full_sort_steps
+from repro.bitonic.network import full_sort_steps, next_power_of_two
 from repro.bitonic.operators import apply_step
 from repro.errors import InvalidParameterError
 from repro.gpu.banks import single_step_conflict_factor
@@ -39,7 +39,7 @@ def bitonic_sort(
     n = len(values)
     if n == 0:
         return values.copy(), payload.copy() if payload is not None else None
-    padded_n = 1 << max(0, (n - 1).bit_length())
+    padded_n = next_power_of_two(n)
     if values.dtype.kind == "f":
         sentinel = np.inf
     else:
@@ -51,11 +51,7 @@ def bitonic_sort(
     for step in full_sort_steps(padded_n):
         apply_step(working, step, working_payload)
     # Padding sentinels are maximal and sort to the end.
-    result = working[:n]
-    result_payload = working_payload[:n]
-    if payload is None:
-        return result.copy(), result_payload.copy()
-    return result.copy(), result_payload.copy()
+    return working[:n].copy(), working_payload[:n].copy()
 
 
 class BitonicSortTopK(TopKAlgorithm):
@@ -85,7 +81,7 @@ class BitonicSortTopK(TopKAlgorithm):
 
     def _build_trace(self, model_n: int, width: int) -> ExecutionTrace:
         trace = ExecutionTrace()
-        padded_n = 1 << max(0, (model_n - 1).bit_length())
+        padded_n = next_power_of_two(model_n)
         data_bytes = float(model_n) * width
         tile_distance = SHARED_TILE_ELEMENTS // 2
         global_steps = 0

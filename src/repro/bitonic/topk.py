@@ -2,10 +2,10 @@
 
 Functionally the algorithm pads the input to a power of two with sentinel
 minimum values, runs the local-sort / merge / rebuild reduction
-(:mod:`repro.bitonic.operators`), and returns the top-k values with their
-row indices.  The execution trace models the SortReducer / BitonicReducer
-kernel pipeline (:mod:`repro.bitonic.kernels`) under the configured
-optimization flags.
+(:mod:`repro.bitonic.operators`) on it as a batch of one, and returns the
+top-k values with their row indices.  The execution trace models the
+SortReducer / BitonicReducer kernel pipeline (:mod:`repro.bitonic.kernels`)
+under the configured optimization flags.
 
 The key robustness property of Section 6.4 falls out of the construction:
 the network's comparison sequence is data-independent, so the trace — and
@@ -20,6 +20,7 @@ import numpy as np
 from repro import observability as obs
 from repro.algorithms.base import TopKAlgorithm, TopKResult, validate_topk_args
 from repro.bitonic.kernels import build_trace, memory_overhead_bytes
+from repro.bitonic.network import next_power_of_two
 from repro.bitonic.operators import reduce_topk
 from repro.bitonic.optimizations import FULL, OptimizationFlags
 from repro.errors import InvalidParameterError
@@ -31,10 +32,6 @@ def _sentinel(dtype: np.dtype):
     if dtype.kind == "f":
         return -np.inf
     return np.iinfo(dtype).min
-
-
-def _next_power_of_two(value: int) -> int:
-    return 1 << max(0, (value - 1).bit_length())
 
 
 def repair_padded_indices(
@@ -49,8 +46,7 @@ def repair_padded_indices(
     carry a sentinel past real values — ordering is undefined there, so any
     unused real row is an acceptable substitute.)
 
-    Shared by the single-row :class:`BitonicTopK` and the batched kernel in
-    :mod:`repro.core.batched`, which keeps their tie-breaking bit-identical.
+    Called row by row from :func:`_select_rows`.
     """
     broken = indices >= n
     if not broken.any():
@@ -71,6 +67,44 @@ def repair_padded_indices(
     fixed = indices.copy()
     fixed[slots] = replacements[: len(slots)]
     return fixed
+
+
+def _select_rows(
+    data: np.ndarray, k: int, network_k: int, padded_n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Top-k values and column indices of every row of ``data``.
+
+    Pads each row (the last axis) to ``padded_n`` with the dtype's minimum,
+    carries the column positions through the network as the payload,
+    reduces to ``network_k`` survivors, slices to ``k`` and repairs indices
+    that point at padding.  Shared by :class:`BitonicTopK` (a batch of one)
+    and :func:`repro.core.batched.batched_topk`, which keeps their values,
+    indices and tie-breaking bit-identical.
+    """
+    n = data.shape[-1]
+    working = np.full(
+        data.shape[:-1] + (padded_n,), _sentinel(data.dtype), dtype=data.dtype
+    )
+    working[..., :n] = data
+    # Column positions fit in 32 bits for any realistic row, halving the
+    # payload traffic through the network; widened after the reduction.
+    payload_dtype = np.int32 if padded_n <= np.iinfo(np.int32).max else np.int64
+    payload = np.broadcast_to(
+        np.arange(padded_n, dtype=payload_dtype), working.shape
+    ).copy()
+    top_values, top_payload = reduce_topk(working, network_k, payload)
+    values = top_values[..., :k].copy()
+    indices = top_payload[..., :k].astype(np.int64)
+    leaked = (indices >= n).reshape(-1, k).any(axis=1)
+    if leaked.any():
+        data_rows = data.reshape(-1, n)
+        value_rows = values.reshape(-1, k)
+        index_rows = indices.reshape(-1, k)
+        for row in np.flatnonzero(leaked):
+            index_rows[row] = repair_padded_indices(
+                data_rows[row], value_rows[row], index_rows[row], n
+            )
+    return values, indices
 
 
 class BitonicTopK(TopKAlgorithm):
@@ -102,20 +136,15 @@ class BitonicTopK(TopKAlgorithm):
             raise InvalidParameterError(
                 f"bitonic top-k supports k <= {self.max_k}, got {k}"
             )
-        network_k = _next_power_of_two(k)
-        padded_n = max(_next_power_of_two(n), network_k)
-        working = np.full(padded_n, _sentinel(data.dtype), dtype=data.dtype)
-        working[:n] = data
-        payload = np.arange(padded_n, dtype=np.int64)
+        network_k = next_power_of_two(k)
+        padded_n = max(next_power_of_two(n), network_k)
         with obs.span(
             "phase:bitonic-reduce",
             category="phase",
             network_k=network_k,
             padded_n=padded_n,
         ):
-            top_values, top_payload = reduce_topk(working, network_k, payload)
-        values = top_values[:k].copy()
-        indices = repair_padded_indices(data, values, top_payload[:k].copy(), n)
+            values, indices = _select_rows(data, k, network_k, padded_n)
 
         trace = build_trace(
             model_n or n, network_k, data.dtype.itemsize, self.flags, self.device

@@ -27,6 +27,7 @@ import numpy as np
 from repro import observability as obs
 from repro.algorithms.base import TopKAlgorithm, TopKResult, validate_topk_args
 from repro.algorithms.registry import create
+from repro.bitonic.network import next_power_of_two
 from repro.bitonic.topk import BitonicTopK
 from repro.errors import TransferError
 from repro.gpu import faults
@@ -216,7 +217,7 @@ def _chunk_compute_seconds(
     if isinstance(algorithm, BitonicTopK):
         from repro.bitonic.kernels import build_trace
 
-        network_k = 1 << max(0, (k - 1).bit_length())
+        network_k = next_power_of_two(k)
         trace = build_trace(
             chunk_elements, network_k, dtype.itemsize, algorithm.flags, device
         )

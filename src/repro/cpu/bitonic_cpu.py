@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.algorithms.base import TopKAlgorithm, TopKResult, validate_topk_args
-from repro.bitonic.network import topk_total_comparisons
+from repro.bitonic.network import next_power_of_two, topk_total_comparisons
 from repro.bitonic.operators import local_sort, merge, rebuild
 from repro.cpu.spec import I7_6900, CpuSpec
 from repro.errors import InvalidParameterError
@@ -37,10 +37,6 @@ VECTOR_SIZE = 2048
 
 #: Reduction factor per phase, matching the GPU kernels' 16 elements/thread.
 REDUCTION_FACTOR = 16
-
-
-def _next_power_of_two(value: int) -> int:
-    return 1 << max(0, (value - 1).bit_length())
 
 
 def vector_sort_reduce(
@@ -73,7 +69,7 @@ def partition_bitonic_topk(
     partition: np.ndarray, k: int, base_index: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Algorithm 5: one core's streaming reduction of its partition."""
-    n = _next_power_of_two(max(len(partition), k))
+    n = next_power_of_two(max(len(partition), k))
     values = np.full(n, -np.inf if partition.dtype.kind == "f" else
                      np.iinfo(partition.dtype).min, dtype=partition.dtype)
     values[: len(partition)] = partition
@@ -135,7 +131,7 @@ class CpuBitonicTopK(TopKAlgorithm):
             raise InvalidParameterError("cpu-bitonic supports k <= 2048")
         n = len(data)
         model = model_n or n
-        network_k = _next_power_of_two(k)
+        network_k = next_power_of_two(k)
 
         partitions = np.array_split(data, self.cpu.cores)
         offsets = np.cumsum([0] + [len(p) for p in partitions[:-1]])
@@ -145,7 +141,7 @@ class CpuBitonicTopK(TopKAlgorithm):
             if len(partition) == 0:
                 continue
             values, payload = partition_bitonic_topk(
-                partition, min(network_k, _next_power_of_two(max(len(partition), 1))),
+                partition, min(network_k, next_power_of_two(max(len(partition), 1))),
                 int(offset),
             )
             values_list.append(values)
@@ -159,7 +155,7 @@ class CpuBitonicTopK(TopKAlgorithm):
 
         trace = ExecutionTrace()
         counters = trace.launch("cpu-bitonic")
-        comparisons = topk_total_comparisons(_next_power_of_two(model), network_k)
+        comparisons = topk_total_comparisons(next_power_of_two(model), network_k)
         cycles = comparisons * self.cpu.bitonic_compare_cycles / self.cpu.simd_width
         compute_seconds = self.cpu.compute_time(cycles)
         scan_seconds = self.cpu.scan_time(float(model) * data.dtype.itemsize)

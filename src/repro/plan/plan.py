@@ -18,6 +18,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
+from repro.bitonic.network import next_power_of_two
 from repro.plan.nodes import (
     CPU_FALLBACK,
     PLAN_FORMAT,
@@ -42,7 +43,7 @@ BATCHABLE_ALGORITHM = "bitonic"
 
 def network_k(k: int) -> int:
     """The padded (power-of-two) width of the bitonic network for ``k``."""
-    return 1 << max(0, (k - 1).bit_length())
+    return next_power_of_two(k)
 
 
 def request_fingerprint(

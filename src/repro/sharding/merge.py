@@ -18,18 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-
-def descending_keys(values: np.ndarray) -> np.ndarray:
-    """Sort keys whose *ascending* order is the canonical descending value
-    order.  Mirrors the key transform of ``reference_topk`` exactly:
-    negation for floats (NaN stays NaN and sorts last), complement for
-    uint64 (negation would wrap), widened negation for other integers.
-    """
-    if values.dtype.kind == "f":
-        return -values
-    if values.dtype == np.uint64:
-        return np.iinfo(np.uint64).max - values
-    return -values.astype(np.int64)
+from repro.algorithms.keys import descending_keys
 
 
 def merge_topk(

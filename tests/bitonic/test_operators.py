@@ -51,6 +51,19 @@ class TestApplyStep:
         for value, tag in zip(values, payload):
             assert value == [5.0, 1.0, 2.0, 9.0][tag]
 
+    def test_non_contiguous_values_rejected(self):
+        # A block view of a strided array is a copy: the exchange would be lost.
+        values = np.arange(16, dtype=np.float32)[::2]
+        with pytest.raises(InvalidParameterError, match="contiguous"):
+            apply_step(values, Step(inc=1, direction_period=2))
+
+    def test_non_contiguous_payload_rejected(self):
+        values = np.arange(8, dtype=np.float32)
+        payload = np.arange(16)[::2]
+        with pytest.raises(InvalidParameterError, match="contiguous"):
+            local_sort(values, 4, payload)
+        assert values.tolist() == list(range(8))
+
 
 class TestLocalSort:
     def test_alternating_run_directions(self, rng):

@@ -22,26 +22,33 @@ from repro.data.distributions import (
 from repro.engine import Session, generate_tweets
 
 
+def tied_rows(n, seed):
+    """Two tied maxima; bitonic returns them higher index first."""
+    return np.array([5, 9, 3, 9, 7, 1, 2, 0], dtype=np.float32)
+
+
 class TestAllAlgorithmsAllDistributions:
-    """Every algorithm must agree with the oracle on every distribution."""
+    """Every algorithm must agree with the oracle on every distribution:
+    values bit-equal to the oracle's, indices naming distinct rows that
+    hold those values (which tied row is returned may differ)."""
 
     @pytest.mark.parametrize("name", EVALUATED_ALGORITHMS)
     @pytest.mark.parametrize(
-        "generator", [uniform_floats, increasing, decreasing, bucket_killer]
+        "generator",
+        [uniform_floats, increasing, decreasing, bucket_killer, tied_rows],
     )
     def test_agreement(self, name, generator, device):
         data = generator(6000, seed=11)
         algorithm = create(name, device)
-        for k in (1, 13, 128):
-            if not algorithm.supports(len(data), k, data.dtype):
+        for k in (1, 3, 13, 128):
+            if k > len(data) or not algorithm.supports(len(data), k, data.dtype):
                 continue
             result = algorithm.run(data, k)
             expected, _ = reference_topk(data, k)
-            assert np.array_equal(np.sort(result.values)[::-1], expected), (
-                name,
-                generator.__name__,
-                k,
-            )
+            case = (name, generator.__name__, k)
+            assert np.sort(result.values)[::-1].tobytes() == expected.tobytes(), case
+            assert len(set(result.indices.tolist())) == k, case
+            assert data[result.indices].tobytes() == result.values.tobytes(), case
 
 
 class TestPlannerAgainstMeasurements:

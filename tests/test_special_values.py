@@ -17,9 +17,10 @@ Float inputs may contain infinities and signed zeros; the library's policy
 import numpy as np
 import pytest
 
+from repro import topk
 from repro.algorithms import keys as keycodec
 from repro.algorithms.base import reference_topk
-from repro.algorithms.registry import EVALUATED_ALGORITHMS, create
+from repro.algorithms.registry import EVALUATED_ALGORITHMS, create, list_algorithms
 
 
 class TestInfinities:
@@ -103,3 +104,26 @@ class TestExtremeMagnitudes:
         for name in ("sort", "radix-select", "bitonic"):
             result = create(name).run(data, 2)
             assert result.values.tolist() == [np.iinfo(np.int64).max, 1]
+
+
+class TestInt64Minimum:
+    """Negating INT64_MIN wraps to itself; the canonical order must not."""
+
+    DATA = np.array([5, np.iinfo(np.int64).min, 3, 7], dtype=np.int64)
+
+    def test_reference_topk(self):
+        values, indices = reference_topk(self.DATA, 2)
+        assert values.tolist() == [7, 5]
+        assert indices.tolist() == [3, 0]
+
+    def test_sharded(self):
+        result = topk(self.DATA, 2, algorithm="sharded")
+        assert result.values.tolist() == [7, 5]
+        assert result.indices.tolist() == [3, 0]
+
+    @pytest.mark.parametrize(
+        "name", [name for name in list_algorithms() if name != "sharded"]
+    )
+    def test_single_device_kernels(self, name):
+        result = create(name).run(self.DATA, 2)
+        assert sorted(result.values.tolist(), reverse=True) == [7, 5]
