@@ -127,11 +127,15 @@ class HybridTopK:
                         )
                     offsets.append(boundary)
 
-            values = np.concatenate([part.values for part in parts])
-            rows = np.concatenate(
-                [part.indices + offset for part, offset in zip(parts, offsets)]
+            from repro.sharding.merge import merge_topk
+
+            values, rows = merge_topk(
+                np.concatenate([part.values for part in parts]),
+                np.concatenate(
+                    [part.indices + offset for part, offset in zip(parts, offsets)]
+                ),
+                k,
             )
-            order = np.argsort(values, kind="stable")[::-1][:k]
 
             trace = ExecutionTrace()
             concurrent = trace.launch("hybrid-concurrent")
@@ -162,8 +166,8 @@ class HybridTopK:
 
             span.set(simulated_ms=record_trace(trace, self.device))
         return TopKResult(
-            values=values[order].copy(),
-            indices=rows[order].copy(),
+            values=values,
+            indices=rows,
             trace=trace,
             algorithm="hybrid-cpu-gpu",
             k=k,

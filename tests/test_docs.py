@@ -38,6 +38,9 @@ class TestRepositoryDocs:
     def test_quoted_cli_commands_answer_help(self):
         assert checker.check_cli_examples() == []
 
+    def test_documented_python_imports_resolve(self):
+        assert checker.check_python_imports() == []
+
     def test_examples_cover_the_new_surfaces(self):
         commands = {command for _, command in checker.cli_invocations()}
         assert "repro approx-bench" in commands
@@ -70,3 +73,27 @@ class TestCheckerCatchesRot(object):
         doc = tmp_path / "doc.md"
         doc.write_text("```python\npython -m repro no-such-command\n```\n")
         assert checker.check_cli_examples([doc]) == []
+
+    def test_stale_python_import_is_reported(self, tmp_path):
+        doc = tmp_path / "doc.md"
+        doc.write_text(
+            "```python\n"
+            "from repro import (\n"
+            "    topk,      # the k largest (any dtype)\n"
+            "    no_such_name,\n"
+            ")\n"
+            "from repro.hybrid import RetiredTopK as Group  # moved\n"
+            "```\n"
+        )
+        assert [name for _, _, name in checker.python_imports([doc])] == [
+            "topk", "no_such_name", "RetiredTopK"
+        ]
+        problems = checker.check_python_imports([doc])
+        assert len(problems) == 2
+        assert "no_such_name" in problems[0]
+        assert "RetiredTopK" in problems[1]
+
+    def test_imports_outside_python_fences_are_ignored(self, tmp_path):
+        doc = tmp_path / "doc.md"
+        doc.write_text("```bash\nfrom repro import no_such_name\n```\n")
+        assert checker.check_python_imports([doc]) == []

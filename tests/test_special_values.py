@@ -127,3 +127,35 @@ class TestInt64Minimum:
     def test_single_device_kernels(self, name):
         result = create(name).run(self.DATA, 2)
         assert sorted(result.values.tolist(), reverse=True) == [7, 5]
+
+
+class TestCandidateMerges:
+    """Split-and-merge schedulers merge candidates in the canonical order
+    (NaN last), so their values match the reference on NaN-laden input."""
+
+    @staticmethod
+    def _chunked(data, k):
+        from repro.core.chunked import chunked_topk
+
+        return chunked_topk(data, k, memory_budget_bytes=1 << 10)
+
+    @staticmethod
+    def _hybrid(data, k):
+        from repro.hybrid import HybridTopK
+
+        return HybridTopK().run(data, k)
+
+    @staticmethod
+    def _sharded(data, k):
+        from repro.sharding import ShardedTopK
+
+        return ShardedTopK().run(data, k)
+
+    @pytest.mark.parametrize("scheduler", ["chunked", "hybrid", "sharded"])
+    def test_nan_ranks_last(self, scheduler, rng):
+        data = rng.random(1024).astype(np.float32)
+        data[::97] = np.nan
+        result = getattr(self, f"_{scheduler}")(data, 1020)
+        expected, _ = reference_topk(data, 1020)
+        assert np.array_equal(result.values, expected, equal_nan=True)
+        assert np.isnan(result.values[-1])

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Documentation checker behind the CI ``docs`` job.
 
-Three families of checks over ``README.md`` and ``docs/*.md``:
+Four families of checks over ``README.md`` and ``docs/*.md``:
 
 1. **Links** — every intra-repo markdown link ``[text](target)`` must
    resolve to an existing file or directory (anchors are stripped;
@@ -10,7 +10,11 @@ Three families of checks over ``README.md`` and ``docs/*.md``:
    ``bash`` block must name a real subcommand: the named command is
    smoke-run with ``--help`` and must exit 0.  This catches renamed or
    removed commands without paying for full example runs.
-3. **Coverage** — ``README.md`` must link every file under ``docs/``
+3. **Python imports** — every name in a ``from repro... import ...``
+   line inside a fenced ``python`` block must import: the module is
+   imported and each name must be an attribute or a submodule of it.
+   This catches a renamed or deleted class left behind in an example.
+4. **Coverage** — ``README.md`` must link every file under ``docs/``
    (the docs index stays complete), ``docs/architecture.md`` must
    mention every package under ``src/repro/`` (the module table stays
    complete), and ``docs/cost_model.md`` must mention every
@@ -26,6 +30,7 @@ Exit status 0 = clean; 1 = problems (one per line on stderr).
 
 from __future__ import annotations
 
+import importlib
 import os
 import re
 import subprocess
@@ -38,6 +43,10 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 _LINK = re.compile(r"\[[^\]]+\]\(([^)\s]+)\)")
 #: Fenced code blocks with their info string.
 _FENCE = re.compile(r"^```(\w*)\s*$")
+#: ``from repro... import a, b`` or a parenthesized, multi-line name list.
+_FROM_IMPORT = re.compile(
+    r"^\s*from\s+(repro[.\w]*)\s+import\s+(\([^)]*\)|[^\n]+)", re.MULTILINE
+)
 #: Targets that are not repository paths.
 _EXTERNAL = ("http://", "https://", "mailto:")
 
@@ -79,8 +88,9 @@ def check_links(paths: list[Path] | None = None) -> list[str]:
     return problems
 
 
-def _bash_blocks(text: str) -> list[str]:
-    """The concatenated lines of every fenced ``bash``/``sh`` block."""
+def _fenced_lines(text: str, languages: tuple[str, ...]) -> list[str]:
+    """The lines of every fenced block whose info string is in
+    ``languages``, in document order."""
     lines, in_block, block_lang = [], False, ""
     for line in text.splitlines():
         fence = _FENCE.match(line)
@@ -88,9 +98,14 @@ def _bash_blocks(text: str) -> list[str]:
             in_block = not in_block
             block_lang = fence.group(1).lower()
             continue
-        if in_block and block_lang in ("bash", "sh", "shell", "console"):
+        if in_block and block_lang in languages:
             lines.append(line.strip())
     return lines
+
+
+def _bash_blocks(text: str) -> list[str]:
+    """The concatenated lines of every fenced ``bash``/``sh`` block."""
+    return _fenced_lines(text, ("bash", "sh", "shell", "console"))
 
 
 def cli_invocations(paths: list[Path] | None = None) -> list[tuple[str, str]]:
@@ -131,6 +146,40 @@ def check_cli_examples(paths: list[Path] | None = None) -> list[str]:
             problems.append(
                 f"{document}: quoted command 'python -m {command}' does "
                 f"not answer --help"
+            )
+    return problems
+
+
+def python_imports(paths: list[Path] | None = None) -> list[tuple[str, str, str]]:
+    """All names imported by ``from repro... import`` lines in fenced
+    ``python`` blocks, as ``(document, module, name)`` triples."""
+    found = []
+    for path in paths or doc_files():
+        code = "\n".join(
+            line.split("#", 1)[0]
+            for line in _fenced_lines(path.read_text(), ("python", "py"))
+        )
+        for match in _FROM_IMPORT.finditer(code):
+            module, names = match.group(1), match.group(2).strip("()")
+            for item in names.split(","):
+                name = item.split(" as ", 1)[0].strip()
+                if name:
+                    found.append((_label(path), module, name))
+    return found
+
+
+def check_python_imports(paths: list[Path] | None = None) -> list[str]:
+    """Each documented ``from repro... import name`` resolves."""
+    problems = []
+    for document, module_name, name in python_imports(paths):
+        try:
+            module = importlib.import_module(module_name)
+            if not hasattr(module, name):
+                importlib.import_module(f"{module_name}.{name}")
+        except ImportError:
+            problems.append(
+                f"{document}: 'from {module_name} import {name}' does not "
+                f"resolve"
             )
     return problems
 
@@ -201,6 +250,7 @@ def run_all() -> list[str]:
     return (
         check_links()
         + check_cli_examples()
+        + check_python_imports()
         + check_docs_index()
         + check_architecture_coverage()
         + check_costmodel_coverage()
@@ -216,7 +266,8 @@ def main() -> int:
         commands = {command for _, command in cli_invocations()}
         print(
             f"docs OK: {checked} documents, links resolve, "
-            f"{len(commands)} distinct CLI commands answer --help"
+            f"{len(commands)} distinct CLI commands answer --help, "
+            f"{len(python_imports())} documented imports resolve"
         )
     return 1 if problems else 0
 
