@@ -89,19 +89,35 @@ def validate_topk_args(data: np.ndarray, k: int) -> None:
 
 
 def reference_topk(data: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Ground-truth top-k via full sort — the testing oracle.
+    """Ground-truth top-k — the testing oracle.
 
     Returns (values, indices), values sorted descending under
     :func:`~repro.algorithms.keys.descending_keys`, ties broken by lower
-    index first (stable).  The contract every exact algorithm meets is
-    weaker on ties: its values are bit-equal to the oracle's, and its
-    indices name distinct rows holding those values — which of several
-    tied rows is returned may differ (bitonic top-k, for one, does not
-    prefer the lower index).
+    index first: exactly the first k entries of a stable argsort of those
+    keys.  The contract every exact algorithm meets is weaker on ties: its
+    values are bit-equal to the oracle's, and its indices name distinct
+    rows holding those values — which of several tied rows is returned may
+    differ (bitonic top-k, for one, does not prefer the lower index).
+
+    Instead of sorting all n keys, an ``argpartition`` finds the k-th key;
+    every row strictly ahead of it survives, the lowest-index rows equal
+    to it fill the remaining slots (NaN keys rank last and tie with each
+    other), and only those k survivors are stably sorted.
     """
     validate_topk_args(data, k)
-    order = np.argsort(descending_keys(data), kind="stable")
-    indices = order[:k]
+    keys = descending_keys(data)
+    kth = keys[np.argpartition(keys, k - 1)[k - 1]]
+    if kth != kth:
+        # NaN boundary: every non-NaN row is ahead of it.
+        ahead, level = ~np.isnan(keys), np.isnan(keys)
+    else:
+        ahead, level = keys < kth, keys == kth
+    better = np.flatnonzero(ahead)
+    survivors = np.concatenate(
+        [better, np.flatnonzero(level)[: k - len(better)]]
+    )
+    survivors.sort()
+    indices = survivors[np.argsort(keys[survivors], kind="stable")]
     return data[indices], indices
 
 

@@ -30,12 +30,32 @@ Conventions (matching the paper's Algorithms 2-4):
 All operators optionally carry a payload array (row ids or values) of the
 same shape through the same exchanges, supporting the key+value
 experiments of Section 6.6.
+
+Sorted-run shortcut
+-------------------
+
+:func:`reduce_topk` does not step the network on every run pair.  The
+local sort and every rebuild leave each pair of length-k runs sorted,
+ascending then descending.  A comparator network that sorts has exactly
+one output on distinct keys — the sorted run — and each payload entry
+travels with its key, so for a pair whose 2k keys are all distinct a
+numpy ``argsort`` produces bit-for-bit what the network would.  Only
+ties expose the network's position-dependent exchange order, so pairs
+holding a tie (``-0.0 == 0.0`` counts as one) are gathered into a batch
+and stepped through the network exactly as before.  A rebuild sorts
+only because its input is bitonic, and a NaN anywhere breaks that (every
+comparison against it is false), so a float input containing NaN runs
+the full network.  :func:`local_sort`, :func:`merge`, :func:`rebuild`
+and :func:`apply_step` stay pure network operators.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
+from repro import observability as obs
 from repro.bitonic.network import (
     Step,
     local_sort_steps,
@@ -43,6 +63,48 @@ from repro.bitonic.network import (
     validate_power_of_two,
 )
 from repro.errors import InvalidParameterError
+
+
+#: Elements argsorted per numpy call on the sorted-run path, which bounds
+#: the int64 ``order`` temporaries (256 KiB) whatever the row length.
+_SORT_BLOCK = 1 << 15
+
+
+def _require_contiguous(values: np.ndarray, payload: np.ndarray | None) -> None:
+    if not values.flags.c_contiguous or (
+        payload is not None and not payload.flags.c_contiguous
+    ):
+        # A block view of a non-contiguous array is a silent copy, which
+        # would lose the in-place writes.
+        raise InvalidParameterError(
+            "bitonic operators work in place on C-contiguous arrays"
+        )
+
+
+#: A step at distance ``inc <= 8`` runs lane by lane once every lane spans
+#: at least this many blocks (see :func:`apply_step`); below that, the
+#: extra numpy calls cost more than the short inner loops they avoid.
+_LANE_STEP_MAX_INC = 8
+_LANE_STEP_MIN_BLOCKS = 1 << 12
+
+#: Shortest direction mask, in blocks.  Masks repeat with their period, so
+#: a step views each row as runs of mask-length blocks; this floor keeps
+#: the innermost loop of a distance-1 step long.
+_MASK_BLOCKS = 1 << 12
+
+
+@functools.lru_cache(maxsize=64)
+def _reverse_mask(half: int) -> np.ndarray:
+    """Comparison direction of consecutive blocks, as a read-only column.
+
+    Block ``b`` of a step starts at element ``2 * inc * b``, so its
+    direction bit is ``b & half`` with ``half = direction_period //
+    (2 * inc)``.  The pattern repeats every ``2 * half`` blocks, and
+    every row length and batch shares one mask per ``half``.
+    """
+    mask = ((np.arange(max(2 * half, _MASK_BLOCKS)) & half) == 0)[:, None]
+    mask.flags.writeable = False
+    return mask
 
 
 def apply_step(
@@ -55,32 +117,100 @@ def apply_step(
         raise InvalidParameterError(
             f"row length {n} is not a multiple of the step block {2 * inc}"
         )
-    if not values.flags.c_contiguous or (
-        payload is not None and not payload.flags.c_contiguous
-    ):
-        # A block view of a non-contiguous array is a silent copy, which
-        # would lose the in-place writes.
-        raise InvalidParameterError(
-            "bitonic operators work in place on C-contiguous arrays"
-        )
-    blocks = n // (2 * inc)
-    reverse = (((np.arange(blocks) * (2 * inc)) & step.direction_period) == 0)[
-        :, None
-    ]
+    _require_contiguous(values, payload)
+    reverse = _reverse_mask(step.direction_period // (2 * inc))
+    # A row shorter than the mask reads its prefix; a longer one is a
+    # whole number of mask periods.
+    blocks = min(n // (2 * inc), len(reverse))
+    reverse = reverse[:blocks]
     view = values.reshape(-1, blocks, 2, inc)
-    left = view[:, :, 0, :]
-    right = view[:, :, 1, :]
-    swap = np.logical_xor(reverse, left < right)
-    new_left = np.where(swap, right, left)
-    view[:, :, 1, :] = np.where(swap, left, right)
-    view[:, :, 0, :] = new_left
-    if payload is not None:
-        payload_view = payload.reshape(-1, blocks, 2, inc)
-        left_payload = payload_view[:, :, 0, :]
-        right_payload = payload_view[:, :, 1, :]
-        new_left_payload = np.where(swap, right_payload, left_payload)
-        payload_view[:, :, 1, :] = np.where(swap, left_payload, right_payload)
-        payload_view[:, :, 0, :] = new_left_payload
+    payload_view = None if payload is None else payload.reshape(-1, blocks, 2, inc)
+    # At a short distance numpy's innermost loop would run over only inc
+    # elements; stepping one lane of every block at a time keeps it long.
+    lanes = (
+        [slice(lane, lane + 1) for lane in range(inc)]
+        if inc <= _LANE_STEP_MAX_INC
+        and values.size // (2 * inc) >= _LANE_STEP_MIN_BLOCKS
+        else [slice(None)]
+    )
+    for lane in lanes:
+        left = view[:, :, 0, lane]
+        right = view[:, :, 1, lane]
+        swap = np.logical_xor(reverse, left < right)
+        new_left = np.where(swap, right, left)
+        view[:, :, 1, lane] = np.where(swap, left, right)
+        view[:, :, 0, lane] = new_left
+        if payload_view is not None:
+            left_payload = payload_view[:, :, 0, lane]
+            right_payload = payload_view[:, :, 1, lane]
+            new_left_payload = np.where(swap, right_payload, left_payload)
+            payload_view[:, :, 1, lane] = np.where(
+                swap, left_payload, right_payload
+            )
+            payload_view[:, :, 0, lane] = new_left_payload
+
+
+def _network(
+    values: np.ndarray, k: int, payload: np.ndarray | None, steps: list[Step]
+) -> tuple[int, int]:
+    """Step every run pair through the network; returns (sorted, network)
+    pair counts like :func:`_sort_runs`."""
+    for step in steps:
+        apply_step(values, step, payload)
+    return 0, values.size // (2 * k)
+
+
+def _sort_runs(
+    values: np.ndarray, k: int, payload: np.ndarray | None, steps: list[Step]
+) -> tuple[int, int]:
+    """Leave every length-2k run pair as ``steps`` would, in place.
+
+    ``steps`` must sort each run of the input (the local sort always does;
+    a rebuild does on NaN-free bitonic runs).  Tie-free pairs are sorted
+    by numpy — the network's unique output on distinct keys — and only
+    pairs holding a tie run the network.  Returns how many pairs took
+    each path: (sorted, network).
+    """
+    _require_contiguous(values, payload)
+    runs = np.sort(values.reshape(-1, k), axis=-1)
+    tied = (runs[:, 1:] == runs[:, :-1]).reshape(-1, 2 * (k - 1)).any(axis=-1)
+    tied_pairs = np.flatnonzero(tied)
+    if len(tied_pairs) == len(tied):
+        return _network(values, k, payload, steps)
+    pair_values = values.reshape(-1, 2 * k)
+    pair_payload = None if payload is None else payload.reshape(-1, 2 * k)
+    free_pairs = None
+    if len(tied_pairs):
+        # Gathered pairs keep their parity: a step's direction depends on
+        # the position modulo 2k only.
+        batch = pair_values[tied_pairs]
+        batch_payload = None if payload is None else pair_payload[tied_pairs]
+        _network(batch, k, batch_payload, steps)
+        pair_values[tied_pairs] = batch
+        if payload is not None:
+            pair_payload[tied_pairs] = batch_payload
+        free_pairs = np.flatnonzero(~tied)
+    free = len(tied) - len(tied_pairs)
+    block = max(1, _SORT_BLOCK // (2 * k))
+    for start in range(0, free, block):
+        rows = (
+            slice(start, start + block)
+            if free_pairs is None
+            else free_pairs[start : start + block]
+        )
+        chunk = pair_values[rows].reshape(-1, 2, k)
+        order = np.argsort(chunk, axis=-1)
+        # Even runs ascend, odd runs descend (the final direction period k).
+        order[:, 1] = order[:, 1, ::-1]
+        pair_values[rows] = np.take_along_axis(chunk, order, axis=-1).reshape(
+            -1, 2 * k
+        )
+        if payload is not None:
+            chunk_payload = pair_payload[rows].reshape(-1, 2, k)
+            pair_payload[rows] = np.take_along_axis(
+                chunk_payload, order, axis=-1
+            ).reshape(-1, 2 * k)
+    return free, len(tied_pairs)
 
 
 def local_sort(
@@ -151,11 +281,20 @@ def reduce_topk(
     if k < n:
         # With k == 1 the runs are trivially sorted and rebuild has no
         # steps: the pipeline degenerates to repeated pairwise maxima.
-        local_sort(values, k, payload)
+        nan = values.dtype.kind == "f" and bool(np.isnan(values).any())
+        sort_runs = _network if k == 1 or nan else _sort_runs
+        sorted_pairs, network_pairs = sort_runs(
+            values, k, payload, local_sort_steps(k)
+        )
         while values.shape[-1] > k:
             values, payload = merge(values, k, payload)
             if values.shape[-1] > k:
-                rebuild(values, k, payload)
+                more_sorted, more_network = sort_runs(
+                    values, k, payload, rebuild_steps(k)
+                )
+                sorted_pairs += more_sorted
+                network_pairs += more_network
+        _record_paths(sorted_pairs, network_pairs)
     # The k survivors of each row form one bitonic sequence (or, at k == n,
     # the untouched row); sort them descending.
     order = np.argsort(values, axis=-1, kind="stable")[..., ::-1]
@@ -163,3 +302,15 @@ def reduce_topk(
     if payload is None:
         return top_values, None
     return top_values, np.take_along_axis(payload, order, axis=-1)
+
+
+def _record_paths(sorted_pairs: int, network_pairs: int) -> None:
+    """Report on the enclosing span and the metrics registry how many run
+    pairs were sorted and how many stepped through the network."""
+    obs.current_span().set(
+        run_pairs_sorted=sorted_pairs, run_pairs_network=network_pairs
+    )
+    registry = obs.active_metrics()
+    if registry is not None:
+        registry.counter("bitonic.run_pairs", path="sorted").inc(sorted_pairs)
+        registry.counter("bitonic.run_pairs", path="network").inc(network_pairs)

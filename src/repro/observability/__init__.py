@@ -56,6 +56,7 @@ __all__ = [
     "observe",
     "suspended",
     "span",
+    "current_span",
     "current_tracer",
     "active_metrics",
     "kernel_sim_total_ms",
@@ -117,6 +118,15 @@ def suspended():
     finally:
         _TRACER.reset(tracer_token)
         _METRICS.reset(metrics_token)
+
+
+def current_span() -> Span | NullSpan:
+    """The innermost open span, for annotating it from a helper deeper in
+    the call; :data:`NULL_SPAN` when none is open or tracing is off."""
+    tracer = _TRACER.get()
+    if tracer is None:
+        return NULL_SPAN
+    return tracer.current() or NULL_SPAN
 
 
 def current_tracer() -> Tracer | None:

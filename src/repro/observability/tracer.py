@@ -180,6 +180,11 @@ class Tracer:
         span._token = self._stack.set(stack + (span,))
         return span
 
+    def current(self) -> Span | None:
+        """The innermost open span of this context, or None."""
+        stack = self._stack.get()
+        return stack[-1] if stack else None
+
     def _finish(self, span: Span) -> None:
         span.end_wall = self._clock() - self.epoch
         if span._token is not None:

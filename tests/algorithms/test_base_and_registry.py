@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms.base import (
     TopKAlgorithm,
@@ -14,6 +16,7 @@ from repro.algorithms.registry import (
     list_algorithms,
     register,
 )
+from repro.algorithms.keys import descending_keys
 from repro.errors import InvalidParameterError
 
 
@@ -54,6 +57,43 @@ class TestReferenceTopK:
         data = np.array([0, 2**64 - 1, 2**63], dtype=np.uint64)
         values, _ = reference_topk(data, 2)
         assert values.tolist() == [2**64 - 1, 2**63]
+
+    @given(
+        dtype=st.sampled_from(
+            [np.float32, np.float64, np.int32, np.int64, np.uint32, np.uint64]
+        ),
+        mode=st.sampled_from(["special", "all-equal", "few-distinct", "wide"]),
+        n=st.integers(min_value=1, max_value=64),
+        k_seed=st.integers(min_value=0, max_value=2**31),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_a_stable_full_sort(self, dtype, mode, n, k_seed, seed):
+        """The argpartition oracle equals the first k of a stable argsort
+        of the descending keys, bit for bit, NaN, +-0.0 and the integer
+        extremes included."""
+        rng = np.random.default_rng(seed)
+        if np.dtype(dtype).kind == "f":
+            special = [0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan]
+        else:
+            info = np.iinfo(dtype)
+            special = [info.min, info.min + 1, 0, 1, info.max - 1, info.max]
+        special = np.array(special, dtype=dtype)
+        if mode == "special":
+            data = rng.choice(special, n)
+        elif mode == "all-equal":
+            data = np.full(n, rng.choice(special), dtype=dtype)
+        elif mode == "few-distinct":
+            data = rng.choice(special[:2], n)
+        else:
+            data = rng.integers(0, 1000, n).astype(dtype)
+        # k = 1, n - 1 and n come up often at these sizes.
+        k = [1, max(1, n - 1), n, 1 + k_seed % n][k_seed % 4]
+        order = np.argsort(descending_keys(data), kind="stable")[:k]
+        values, indices = reference_topk(data, k)
+        assert indices.dtype == order.dtype
+        assert indices.tobytes() == order.tobytes()
+        assert values.tobytes() == data[order].tobytes()
 
 
 class TestRegistry:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.bitonic.network import Step
 from repro.bitonic.operators import (
+    _reverse_mask,
     apply_step,
     local_sort,
     merge,
@@ -56,6 +57,31 @@ class TestApplyStep:
         values = np.arange(16, dtype=np.float32)[::2]
         with pytest.raises(InvalidParameterError, match="contiguous"):
             apply_step(values, Step(inc=1, direction_period=2))
+
+    def test_direction_masks_are_shared_read_only(self):
+        mask = _reverse_mask(4)
+        assert not mask.flags.writeable
+        assert _reverse_mask(4) is mask
+        assert mask[:16, 0].tolist() == ([True] * 4 + [False] * 4) * 2
+
+    @pytest.mark.parametrize("n", [2, 64, 1 << 14])
+    @pytest.mark.parametrize("inc,period", [(1, 2), (1, 8), (4, 64), (2, 1 << 15)])
+    def test_step_matches_the_per_element_rule(self, n, inc, period):
+        """reverse = (direction_period & i) == 0 for the lower partner i,
+        whatever the row length relative to the cached mask."""
+        if n % (2 * inc):
+            pytest.skip("row shorter than the step block")
+        values = np.random.default_rng(n + inc).random((2, n))
+        expected = values.copy()
+        for i in range(n):
+            if i & inc:
+                continue
+            a, b = expected[:, i].copy(), expected[:, i + inc].copy()
+            swap = ((period & i) == 0) != (a < b)
+            expected[:, i] = np.where(swap, b, a)
+            expected[:, i + inc] = np.where(swap, a, b)
+        apply_step(values, Step(inc=inc, direction_period=period))
+        assert values.tobytes() == expected.tobytes()
 
     def test_non_contiguous_payload_rejected(self):
         values = np.arange(8, dtype=np.float32)
@@ -182,3 +208,116 @@ class TestReduceTopK:
     def test_k_above_n_rejected(self):
         with pytest.raises(InvalidParameterError):
             reduce_topk(np.arange(8, dtype=np.float32), 16)
+
+
+def _network_topk(values, k, payload):
+    """``reduce_topk`` stepped entirely through the public network operators."""
+    if k < values.shape[-1]:
+        local_sort(values, k, payload)
+        while values.shape[-1] > k:
+            values, payload = merge(values, k, payload)
+            if values.shape[-1] > k:
+                rebuild(values, k, payload)
+    order = np.argsort(values, axis=-1, kind="stable")[..., ::-1]
+    return (
+        np.take_along_axis(values, order, axis=-1),
+        np.take_along_axis(payload, order, axis=-1),
+    )
+
+
+_DTYPES = (np.float32, np.float64, np.int32, np.int64, np.uint32, np.uint64)
+
+
+def _special_values(dtype) -> list:
+    if np.dtype(dtype).kind == "f":
+        return [0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan]
+    info = np.iinfo(dtype)
+    return [info.min, info.min + 1, 0, 1, info.max - 1, info.max]
+
+
+def _differential_input(rng, dtype, shape, mode):
+    size = int(np.prod(shape))
+    if mode == "special":
+        return rng.choice(np.array(_special_values(dtype), dtype=dtype), shape)
+    if mode == "duplicates":
+        return rng.integers(0, 4, shape).astype(dtype)
+    # Distinct keys: a permutation fits every dtype without collisions.
+    data = rng.permutation(size).reshape(shape).astype(dtype)
+    if mode == "few-duplicates":
+        # Only the runs holding these slots tie; the rest stay distinct.
+        flat = data.reshape(-1)
+        flat[rng.integers(0, size, 3)] = flat[0]
+    elif mode == "nan" and np.dtype(dtype).kind == "f":
+        # NaN in otherwise tie-free runs: no tie to detect, yet the
+        # network's output is no longer the sorted run.
+        data.reshape(-1)[rng.integers(0, size, 2)] = np.nan
+    elif mode == "padded":
+        low = -np.inf if np.dtype(dtype).kind == "f" else np.iinfo(dtype).min
+        data[..., shape[-1] // 2 + 1 :] = low
+    return data
+
+
+class TestSortedRunShortcut:
+    """reduce_topk sorts tie-free run pairs with numpy; its values and
+    payload must stay bit-identical to the pure compare-exchange network."""
+
+    @given(
+        dtype=st.sampled_from(_DTYPES),
+        mode=st.sampled_from(
+            ["distinct", "duplicates", "few-duplicates", "padded", "special", "nan"]
+        ),
+        n_exp=st.integers(min_value=1, max_value=9),
+        k_frac=st.integers(min_value=0, max_value=9),
+        batch=st.integers(min_value=1, max_value=3),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_network_bit_for_bit(
+        self, dtype, mode, n_exp, k_frac, batch, seed
+    ):
+        n = 1 << n_exp
+        k = 1 << min(k_frac, n_exp)
+        rng = np.random.default_rng(seed)
+        values = _differential_input(rng, dtype, (batch, n), mode)
+        payload = np.broadcast_to(np.arange(n, dtype=np.int32), (batch, n)).copy()
+        got = reduce_topk(values.copy(), k, payload.copy())
+        want = _network_topk(values.copy(), k, payload.copy())
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+
+    @pytest.mark.parametrize("k", [2, 16, 64])
+    def test_signed_zeros_tie(self, k):
+        # -0.0 == 0.0, so a pair holding both must take the network.
+        rng = np.random.default_rng(k)
+        values = rng.permutation(1024).astype(np.float64)
+        values[rng.integers(0, 1024, 64)] = rng.choice([0.0, -0.0], 64)
+        payload = np.arange(1024, dtype=np.int64)
+        got = reduce_topk(values.copy(), k, payload.copy())
+        want = _network_topk(values.copy(), k, payload.copy())
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+
+    @pytest.mark.parametrize("k", [2, 8, 32])
+    def test_nan_anywhere_runs_the_full_network(self, k):
+        values = np.random.default_rng(k).random(512).astype(np.float32)
+        values[[7, 100, 333]] = np.nan
+        payload = np.arange(512, dtype=np.int32)
+        got = reduce_topk(values.copy(), k, payload.copy())
+        want = _network_topk(values.copy(), k, payload.copy())
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+
+    def test_without_payload(self, rng):
+        values = rng.random(2048).astype(np.float32)
+        values[::50] = 0.5
+        got, none = reduce_topk(values.copy(), 32)
+        want, _ = _network_topk(
+            values.copy(), 32, np.arange(2048, dtype=np.int32)
+        )
+        assert none is None
+        assert got.tobytes() == want.tobytes()
+
+    def test_non_contiguous_input_rejected(self):
+        values = np.arange(64, dtype=np.float32)[::2]
+        with pytest.raises(InvalidParameterError, match="contiguous"):
+            reduce_topk(values, 4)

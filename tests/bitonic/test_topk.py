@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import observability as obs
 from repro.algorithms.base import reference_topk
 from repro.bitonic.optimizations import ABLATION_LADDER
 from repro.bitonic.topk import BitonicTopK
@@ -120,3 +121,35 @@ class TestOptimizationConfigurations:
         data = rng.random(1024).astype(np.float32)
         result = BitonicTopK().run(data, 48)
         assert result.trace.notes["network_k"] == 64
+
+
+class TestRunPairPaths:
+    """The reduce span reports how many run pairs numpy sorted and how
+    many stepped through the compare-exchange network."""
+
+    def _observe(self, data, k=32):
+        with obs.observe() as observation:
+            BitonicTopK().run(data, k)
+        (span,) = [
+            s for s in observation.tracer.walk() if s.name == "phase:bitonic-reduce"
+        ]
+        metrics = observation.metrics
+        counted = {
+            path: metrics.value("bitonic.run_pairs", path=path)
+            for path in ("sorted", "network")
+        }
+        return span.attributes, counted
+
+    def test_tie_free_input_never_runs_the_network(self):
+        data = np.random.default_rng(0).permutation(1 << 12).astype(np.float32)
+        attributes, counted = self._observe(data)
+        # 64 local-sort pairs, then 32 + 16 + ... + 1 rebuild pairs.
+        assert attributes["run_pairs_sorted"] == 127
+        assert attributes["run_pairs_network"] == 0
+        assert counted == {"sorted": 127, "network": 0}
+
+    def test_all_equal_input_never_sorts(self):
+        attributes, counted = self._observe(np.full(1 << 12, 3.0, np.float32))
+        assert attributes["run_pairs_sorted"] == 0
+        assert attributes["run_pairs_network"] == 127
+        assert counted == {"sorted": 0, "network": 127}

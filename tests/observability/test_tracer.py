@@ -8,6 +8,7 @@ from repro.observability import (
     Observation,
     Tracer,
     active_metrics,
+    current_span,
     current_tracer,
     observe,
     span,
@@ -107,6 +108,16 @@ class TestContextVars:
             assert s is NULL_SPAN
             s.set(ignored=1)
             s.add_simulated_ms(5.0)
+
+    def test_current_span_is_the_innermost_open_span(self):
+        assert current_span() is NULL_SPAN
+        with observe():
+            assert current_span() is NULL_SPAN
+            with span("outer") as outer:
+                with span("inner") as inner:
+                    current_span().set(annotated=True)
+                assert current_span() is outer
+        assert inner.attributes == {"annotated": True}
 
     def test_observe_activates_and_restores(self):
         tracer = Tracer()
