@@ -47,6 +47,34 @@ only because its input is bitonic, and a NaN anywhere breaks that (every
 comparison against it is false), so a float input containing NaN runs
 the full network.  :func:`local_sort`, :func:`merge`, :func:`rebuild`
 and :func:`apply_step` stay pure network operators.
+
+Threshold pruning
+-----------------
+
+Each merge keeps the top-k of a run pair, so a key below its row's k-th
+largest key ``T`` never reaches the output.  :func:`reduce_topk` finds
+``T`` per row with ``np.partition``, clamps every key below it (a
+*hole*) to the padding sentinel ``S`` (``-inf`` or the integer minimum),
+and sorts, merges and rebuilds only the *live* run pairs — those holding
+a key ``>= T``.  This is bit-identical to the dense pipeline when no key
+is NaN and ``T > S``:
+
+* a compare-exchange (``swap = reverse XOR (a < b)``) or merge
+  (``first >= second``) between a key ``>= T`` and a hole has the same
+  outcome whether the hole is its original key or ``S``, since both are
+  below ``T``; a comparison between two holes moves only holes.  By
+  induction over the steps, every key ``>= T`` ends in the same slot with
+  the same payload, and the k survivors are all ``>= T``;
+* clamping is monotone, so sorted runs stay sorted and bitonic ones
+  bitonic, and the sorted-run shortcut still applies; ties among holes
+  never reach the output, so its tie test ignores them;
+* a pair of holes only stays a pair of holes, so it is never built.  The
+  next level's pair ``i`` is the merged runs ``2i`` and ``2i + 1``, with a
+  missing half filled with ``S``; gathered pairs keep their parity.
+
+A NaN anywhere, ``k == 1``, a row whose ``T`` equals ``S`` (padding or
+minimum keys can reach the output) and inputs where pruning cannot pay
+off (see :data:`_PRUNE_MIN_SIZE`) run the dense pipeline.
 """
 
 from __future__ import annotations
@@ -161,19 +189,28 @@ def _network(
 
 
 def _sort_runs(
-    values: np.ndarray, k: int, payload: np.ndarray | None, steps: list[Step]
+    values: np.ndarray,
+    k: int,
+    payload: np.ndarray | None,
+    steps: list[Step],
+    hole=None,
 ) -> tuple[int, int]:
     """Leave every length-2k run pair as ``steps`` would, in place.
 
     ``steps`` must sort each run of the input (the local sort always does;
     a rebuild does on NaN-free bitonic runs).  Tie-free pairs are sorted
     by numpy — the network's unique output on distinct keys — and only
-    pairs holding a tie run the network.  Returns how many pairs took
-    each path: (sorted, network).
+    pairs holding a tie run the network.  Keys equal to ``hole`` (the
+    clamped keys of the pruned reduction) never reach the output, so ties
+    among them do not count.  Returns how many pairs took each path:
+    (sorted, network).
     """
     _require_contiguous(values, payload)
     runs = np.sort(values.reshape(-1, k), axis=-1)
-    tied = (runs[:, 1:] == runs[:, :-1]).reshape(-1, 2 * (k - 1)).any(axis=-1)
+    tied = runs[:, 1:] == runs[:, :-1]
+    if hole is not None:
+        tied &= runs[:, 1:] != hole
+    tied = tied.reshape(-1, 2 * (k - 1)).any(axis=-1)
     tied_pairs = np.flatnonzero(tied)
     if len(tied_pairs) == len(tied):
         return _network(values, k, payload, steps)
@@ -269,8 +306,9 @@ def reduce_topk(
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """The full operator pipeline: local sort, then merge+rebuild to k elements.
 
-    ``values`` (power-of-two row length) is modified and consumed; the
-    returned arrays hold each row's top-k (sorted descending) and the
+    ``values`` (power-of-two row length) is modified and consumed: its
+    contents are unspecified after the call, and so are the payload's.
+    The returned arrays hold each row's top-k (sorted descending) and the
     corresponding payload entries.
     """
     validate_power_of_two(k, "k")
@@ -278,23 +316,18 @@ def reduce_topk(
     validate_power_of_two(n, "n")
     if k > n:
         raise InvalidParameterError("k cannot exceed the (padded) input size")
+    _require_contiguous(values, payload)
     if k < n:
         # With k == 1 the runs are trivially sorted and rebuild has no
         # steps: the pipeline degenerates to repeated pairwise maxima.
         nan = values.dtype.kind == "f" and bool(np.isnan(values).any())
-        sort_runs = _network if k == 1 or nan else _sort_runs
-        sorted_pairs, network_pairs = sort_runs(
-            values, k, payload, local_sort_steps(k)
-        )
-        while values.shape[-1] > k:
-            values, payload = merge(values, k, payload)
-            if values.shape[-1] > k:
-                more_sorted, more_network = sort_runs(
-                    values, k, payload, rebuild_steps(k)
-                )
-                sorted_pairs += more_sorted
-                network_pairs += more_network
-        _record_paths(sorted_pairs, network_pairs)
+        if k == 1 or nan:
+            values, payload, paths = _reduce_dense(values, k, payload, _network)
+        elif (live := _live_pairs(values, k)) is not None:
+            values, payload, paths = _reduce_pruned(values, k, payload, *live)
+        else:
+            values, payload, paths = _reduce_dense(values, k, payload, _sort_runs)
+        _record_paths(*paths)
     # The k survivors of each row form one bitonic sequence (or, at k == n,
     # the untouched row); sort them descending.
     order = np.argsort(values, axis=-1, kind="stable")[..., ::-1]
@@ -304,13 +337,140 @@ def reduce_topk(
     return top_values, np.take_along_axis(payload, order, axis=-1)
 
 
-def _record_paths(sorted_pairs: int, network_pairs: int) -> None:
+def _reduce_dense(
+    values: np.ndarray, k: int, payload: np.ndarray | None, sort_runs
+) -> tuple[np.ndarray, np.ndarray | None, tuple[int, int, int]]:
+    """Sort, merge and rebuild every run pair down to k survivors per row.
+
+    Returns the survivors, their payload and the (sorted, network,
+    pruned) pair counts.
+    """
+    sorted_pairs, network_pairs = sort_runs(values, k, payload, local_sort_steps(k))
+    while values.shape[-1] > k:
+        values, payload = merge(values, k, payload)
+        if values.shape[-1] > k:
+            more_sorted, more_network = sort_runs(
+                values, k, payload, rebuild_steps(k)
+            )
+            sorted_pairs += more_sorted
+            network_pairs += more_network
+    return values, payload, (sorted_pairs, network_pairs, 0)
+
+
+def _sentinel(dtype: np.dtype):
+    """The minimum representable value of a dtype: the padding of a row,
+    and the value the pruned reduction clamps holes to."""
+    if dtype.kind == "f":
+        return -np.inf
+    return np.iinfo(dtype).min
+
+
+#: Threshold pruning runs only on calls of at least this many elements,
+#: and only while at most this share of their run pairs is live.  Below
+#: either the dense pipeline is as fast or faster: on a short call the
+#: per-level numpy calls of the pruned path cost more than the pairs it
+#: skips, and with most pairs live it gathers nearly every pair for no
+#: saving.  Swept on a 2-core Xeon host (float32 and int64, int32 payload,
+#: median of 9, batch 1-16, k 8-64): uniform rows of 2^13 elements run
+#: 0.74-1.19x the dense time, rows of 2^14 0.56-0.97x; at 2^16/k=32 a
+#: tie-free input with half its pairs live runs 0.91x, with three quarters
+#: live 1.02x.
+_PRUNE_MIN_SIZE = 1 << 14
+_PRUNE_MAX_LIVE_SHARE = 0.5
+
+
+def _live_pairs(
+    values: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Ids of the run pairs holding a key >= their row's k-th largest key,
+    and those per-row thresholds; None when the dense pipeline should run.
+
+    Pair ids index ``values.reshape(-1, 2 * k)``.  A row whose threshold is
+    the dtype minimum lets padding or minimum keys reach the output, which
+    clamping cannot tell apart, so it keeps the call dense.
+    """
+    if values.size < _PRUNE_MIN_SIZE:
+        return None
+    n = values.shape[-1]
+    pairs = values.size // (2 * k)
+    rows = values.reshape(-1, n)
+    thresholds = np.partition(rows, n - k, axis=-1)[:, n - k]
+    if (thresholds == _sentinel(values.dtype)).any():
+        return None
+    live = rows.reshape(len(rows), -1, 2 * k) >= thresholds[:, None, None]
+    ids = np.flatnonzero(live.any(axis=-1))
+    if len(ids) > _PRUNE_MAX_LIVE_SHARE * pairs:
+        return None
+    return ids, thresholds
+
+
+def _reduce_pruned(
+    values: np.ndarray,
+    k: int,
+    payload: np.ndarray | None,
+    ids: np.ndarray,
+    thresholds: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray | None, tuple[int, int, int]]:
+    """:func:`_reduce_dense` on the live run pairs only.
+
+    Keys below their row's threshold are clamped to the hole value, and a
+    pair holding only holes is never built.  Returns the same survivors,
+    payload and pair counts as :func:`_reduce_dense` (see "Threshold
+    pruning" in the module docstring).
+    """
+    hole = _sentinel(values.dtype)
+    rows_shape = values.shape[:-1]
+    batch = values.size // values.shape[-1]
+    per_row = values.shape[-1] // (2 * k)
+    pair_values = values.reshape(-1, 2 * k)[ids]
+    np.putmask(pair_values, pair_values < thresholds[ids // per_row, None], hole)
+    pair_payload = None if payload is None else payload.reshape(-1, 2 * k)[ids]
+    sorted_pairs, network_pairs = _sort_runs(
+        pair_values, k, pair_payload, local_sort_steps(k), hole
+    )
+    dense_pairs = batch * per_row
+    while True:
+        # Run ``j`` below came from pair ``ids[j]``.
+        runs, run_payload = merge(pair_values, k, pair_payload)
+        per_row //= 2
+        if per_row == 0:
+            break
+        dense_pairs += batch * per_row
+        # Pair ``i`` of the next level is runs ``2i`` and ``2i + 1``; a
+        # missing (dead) half holds only holes.
+        half = ids % 2
+        ids, slot = np.unique(ids // 2, return_inverse=True)
+        pair_values = np.full((len(ids), 2, k), hole, values.dtype)
+        pair_values[slot, half] = runs
+        pair_values = pair_values.reshape(-1, 2 * k)
+        if payload is not None:
+            pair_payload = np.zeros((len(ids), 2, k), payload.dtype)
+            pair_payload[slot, half] = run_payload
+            pair_payload = pair_payload.reshape(-1, 2 * k)
+        more_sorted, more_network = _sort_runs(
+            pair_values, k, pair_payload, rebuild_steps(k), hole
+        )
+        sorted_pairs += more_sorted
+        network_pairs += more_network
+    # Every row keeps at least one live pair, so one run per row remains.
+    survivors = runs.reshape(rows_shape + (k,))
+    if run_payload is not None:
+        run_payload = run_payload.reshape(rows_shape + (k,))
+    pruned = dense_pairs - sorted_pairs - network_pairs
+    return survivors, run_payload, (sorted_pairs, network_pairs, pruned)
+
+
+def _record_paths(sorted_pairs: int, network_pairs: int, pruned_pairs: int) -> None:
     """Report on the enclosing span and the metrics registry how many run
-    pairs were sorted and how many stepped through the network."""
+    pairs were sorted, how many stepped through the network and how many
+    the threshold pruning never built."""
     obs.current_span().set(
-        run_pairs_sorted=sorted_pairs, run_pairs_network=network_pairs
+        run_pairs_sorted=sorted_pairs,
+        run_pairs_network=network_pairs,
+        run_pairs_pruned=pruned_pairs,
     )
     registry = obs.active_metrics()
     if registry is not None:
         registry.counter("bitonic.run_pairs", path="sorted").inc(sorted_pairs)
         registry.counter("bitonic.run_pairs", path="network").inc(network_pairs)
+        registry.counter("bitonic.run_pairs", path="pruned").inc(pruned_pairs)

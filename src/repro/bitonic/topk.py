@@ -21,17 +21,10 @@ from repro import observability as obs
 from repro.algorithms.base import TopKAlgorithm, TopKResult, validate_topk_args
 from repro.bitonic.kernels import build_trace, memory_overhead_bytes
 from repro.bitonic.network import next_power_of_two
-from repro.bitonic.operators import reduce_topk
+from repro.bitonic.operators import _sentinel, reduce_topk
 from repro.bitonic.optimizations import FULL, OptimizationFlags
 from repro.errors import InvalidParameterError
 from repro.gpu.device import DeviceSpec
-
-
-def _sentinel(dtype: np.dtype):
-    """The minimum representable value of a dtype, used to pad the input."""
-    if dtype.kind == "f":
-        return -np.inf
-    return np.iinfo(dtype).min
 
 
 def repair_padded_indices(

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import observability as obs
 from repro.bitonic.network import Step
 from repro.bitonic.operators import (
+    _PRUNE_MIN_SIZE,
     _reverse_mask,
     apply_step,
     local_sort,
@@ -321,3 +323,97 @@ class TestSortedRunShortcut:
         values = np.arange(64, dtype=np.float32)[::2]
         with pytest.raises(InvalidParameterError, match="contiguous"):
             reduce_topk(values, 4)
+
+
+def _pruned_input(rng, dtype, n, k, mode):
+    """One row whose k-th largest key sits in at most an eighth of its run
+    pairs, above a tie-heavy background of holes."""
+    kind = np.dtype(dtype).kind
+    row = rng.integers(0, 50, n).astype(dtype)
+    pairs = n // (2 * k)
+    live = rng.choice(pairs, max(1, pairs // 8), replace=False)
+    slots = rng.choice(
+        (live[:, None] * 2 * k + np.arange(2 * k)).reshape(-1), k + 3, replace=False
+    )
+    # Each row draws its own top keys, so the rows' thresholds differ.
+    top = int(rng.integers(1000, 1 << 20))
+    if mode == "distinct":
+        planted = top + rng.permutation(4 * k)[:k]
+    elif mode == "tied":
+        planted = top + rng.integers(0, 3, k)
+    elif mode == "boundary":
+        # More than k keys equal the threshold: a tie across it.
+        planted = np.concatenate([top + 1 + rng.permutation(k)[: k - 1], [top] * 4])
+    elif mode == "zeros" and kind == "f":
+        row -= 100
+        planted = rng.choice(np.array([0.0, -0.0, 1.0]), k)
+    elif mode == "inf" and kind == "f":
+        row[rng.integers(0, n, n // 16)] = -np.inf
+        planted = rng.choice(np.array([np.inf, float(top)]), k)
+    elif mode == "minimum":
+        # Fewer than k keys above the dtype minimum: the threshold is the
+        # padding sentinel itself, so the call must stay dense.
+        low = -np.inf if kind == "f" else np.iinfo(dtype).min
+        row[:] = low
+        planted = top + rng.permutation(k)[: k // 2]
+    else:
+        planted = top + rng.permutation(4 * k)[:k]
+    row[slots[: len(planted)]] = np.asarray(planted).astype(dtype)
+    return row
+
+
+class TestThresholdPruning:
+    """reduce_topk clamps keys below each row's k-th largest and skips the
+    run pairs holding only those; values and payload stay bit-identical to
+    the pure compare-exchange network."""
+
+    @given(
+        dtype=st.sampled_from(_DTYPES),
+        mode=st.sampled_from(
+            ["distinct", "tied", "boundary", "zeros", "inf", "minimum"]
+        ),
+        n_exp=st.integers(min_value=12, max_value=14),
+        k_exp=st.integers(min_value=1, max_value=6),
+        batch=st.integers(min_value=1, max_value=3),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_network_bit_for_bit(
+        self, dtype, mode, n_exp, k_exp, batch, seed
+    ):
+        n, k = 1 << n_exp, 1 << k_exp
+        rows = batch * max(1, _PRUNE_MIN_SIZE // n)
+        rng = np.random.default_rng(seed)
+        # In "minimum" mode only the first row's threshold is the sentinel;
+        # the other rows alone would take the pruned path.
+        modes = [mode] + [mode if mode != "minimum" else "distinct"] * (rows - 1)
+        values = np.stack([_pruned_input(rng, dtype, n, k, m) for m in modes])
+        payload = np.broadcast_to(np.arange(n, dtype=np.int32), values.shape).copy()
+        with obs.observe() as observation:
+            got = reduce_topk(values.copy(), k, payload.copy())
+        want = _network_topk(values.copy(), k, payload.copy())
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+        pruned = observation.metrics.value("bitonic.run_pairs", path="pruned")
+        if mode == "minimum":
+            assert pruned == 0
+        else:
+            assert pruned > 0
+
+    def test_nan_keeps_the_call_dense(self):
+        values = np.random.default_rng(3).random(1 << 14).astype(np.float32)
+        values[123] = np.nan
+        payload = np.arange(1 << 14, dtype=np.int32)
+        with obs.observe() as observation:
+            got = reduce_topk(values.copy(), 32, payload.copy())
+        want = _network_topk(values.copy(), 32, payload.copy())
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+        assert observation.metrics.value("bitonic.run_pairs", path="pruned") == 0
+
+    def test_non_contiguous_input_rejected_before_work(self):
+        values = np.arange(1 << 16, dtype=np.float32)[::2]
+        before = values.copy()
+        with pytest.raises(InvalidParameterError, match="contiguous"):
+            reduce_topk(values, 4)
+        assert values.tobytes() == before.tobytes()

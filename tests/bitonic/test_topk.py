@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from repro import observability as obs
 from repro.algorithms.base import reference_topk
+from repro.bitonic import operators
 from repro.bitonic.optimizations import ABLATION_LADDER
 from repro.bitonic.topk import BitonicTopK
+from repro.core.batched import batched_topk
 from repro.data.distributions import bucket_killer, increasing, uniform_floats
 from repro.errors import InvalidParameterError
 
@@ -153,3 +155,53 @@ class TestRunPairPaths:
         assert attributes["run_pairs_sorted"] == 0
         assert attributes["run_pairs_network"] == 127
         assert counted == {"sorted": 0, "network": 127}
+
+
+class TestThresholdPruningPaths:
+    """Sorted, network and pruned run pairs always add up to the dense
+    pipeline's pair count: n / k - 1 per row."""
+
+    @staticmethod
+    def _paths(observation, span_name):
+        (span,) = [s for s in observation.tracer.walk() if s.name == span_name]
+        counted = {
+            path: observation.metrics.value("bitonic.run_pairs", path=path)
+            for path in ("sorted", "network", "pruned")
+        }
+        attributes = {
+            path: span.attributes[f"run_pairs_{path}"] for path in counted
+        }
+        assert attributes == counted
+        return counted
+
+    def test_small_inputs_stay_dense(self):
+        data = np.random.default_rng(0).permutation(1 << 12).astype(np.float32)
+        with obs.observe() as observation:
+            BitonicTopK().run(data, 32)
+        counted = self._paths(observation, "phase:bitonic-reduce")
+        assert counted == {"sorted": 127, "network": 0, "pruned": 0}
+
+    def test_pruned_pairs_complete_the_dense_count(self, monkeypatch):
+        monkeypatch.setattr(operators, "_PRUNE_MIN_SIZE", 1)
+        data = np.random.default_rng(0).permutation(1 << 12).astype(np.float32)
+        with obs.observe() as observation:
+            result = BitonicTopK().run(data, 32)
+        counted = self._paths(observation, "phase:bitonic-reduce")
+        assert counted["pruned"] > 0
+        assert sum(counted.values()) == 127
+        expected, _ = reference_topk(data, 32)
+        assert np.array_equal(result.values, expected)
+
+    def test_batched_span_reports_pruned_pairs(self):
+        matrix = np.random.default_rng(1).random((4, 1 << 12)).astype(np.float32)
+        with obs.observe() as observation:
+            batched_topk(matrix, 32)
+        counted = self._paths(observation, "batched-topk")
+        assert counted["pruned"] > 0
+        assert sum(counted.values()) == 4 * 127
+
+    def test_all_live_input_stays_dense(self):
+        with obs.observe() as observation:
+            BitonicTopK().run(np.full(1 << 16, 3, np.int64), 64)
+        counted = self._paths(observation, "phase:bitonic-reduce")
+        assert counted == {"sorted": 0, "network": 1023, "pruned": 0}
