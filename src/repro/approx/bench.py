@@ -190,6 +190,16 @@ class ApproxBenchReport:
             and head.measured >= MIN_HEADLINE_RECALL
         )
 
+    def gates(self) -> list[tuple[bool, str]]:
+        """The ``(passed, message)`` gates ``approx-bench`` exits on; a
+        sweep that leaves out the headline shape has nothing to gate."""
+        return [
+            (
+                self.headline is None or self.passed,
+                "the headline speedup/recall gate failed",
+            ),
+        ]
+
     def to_dict(self) -> dict:
         head = self.headline
         return {

@@ -6,11 +6,14 @@ Every benchmark front door (``serve-bench``, ``approx-bench``,
 
 * ``--json`` / ``--out`` — print the report as JSON (or its rendered
   text) and optionally write the JSON artifact to a path CI uploads;
-* property gates — each failed gate prints one ``error: ...`` line on
-  stderr and the command exits non-zero;
+* property gates — each report's ``gates()`` returns its
+  ``(passed, message)`` pairs (a report's ``passed`` is derived from the
+  same pairs where it is their AND); each failed gate prints one
+  ``error: ...`` line on stderr and the command exits non-zero;
 * ``--baseline`` — compare headline numbers against a committed
   ``BENCH_*.json`` within the shared relative tolerance
-  (:data:`BASELINE_TOLERANCE`), printing one ``baseline regression:``
+  (:data:`BASELINE_TOLERANCE`, also the default ``--tolerance`` of
+  ``python -m repro.bench --ci``), printing one ``baseline regression:``
   line per drifted number.
 
 This module is that contract, written once: argument wiring
@@ -18,6 +21,10 @@ This module is that contract, written once: argument wiring
 (:func:`write_report`), gate evaluation (:func:`apply_gates`), the
 tolerance predicate every ``check_baseline`` uses (:func:`drifted`), and
 the end-to-end tail a bench command returns (:func:`finish_report`).
+``repro.cli`` is a thin parser over it: each bench command builds its
+workload dataclass from the flags the user set (the rest keep the
+dataclass defaults), runs the bench, and hands the report, its
+``gates()`` and the module's ``check_baseline`` to :func:`finish_report`.
 """
 
 from __future__ import annotations

@@ -253,9 +253,28 @@ class RadixBenchReport:
             if p.batch >= 2
         )
 
+    def gates(self) -> list[tuple[bool, str]]:
+        """The ``(passed, message)`` gates ``radix-bench`` exits on."""
+        return [
+            (
+                self.identical,
+                "a radix result is not bit-equal to the reference order",
+            ),
+            (
+                self.large_k_monotonic,
+                "the monotonic large-k gate failed (speedup over bitonic "
+                "shrank with k, or radik lost a gated point)",
+            ),
+            (
+                self.batch_amortizes,
+                "the fused batch did not beat per-query execution at every "
+                "batch >= 2",
+            ),
+        ]
+
     @property
     def passed(self) -> bool:
-        return self.identical and self.large_k_monotonic and self.batch_amortizes
+        return all(passed for passed, _ in self.gates())
 
     def to_dict(self) -> dict:
         return {

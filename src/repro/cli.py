@@ -30,6 +30,7 @@ distinct exit code per :class:`~repro.errors.ReproError` subclass (see
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -61,38 +62,47 @@ def build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command")
 
-    run = commands.add_parser("topk", help="run a top-k and report timings")
-    run.add_argument("--n", type=int, default=1 << 20, help="input size")
-    run.add_argument("--k", type=int, default=32)
-    run.add_argument(
-        "--algorithm",
-        default="auto",
-        choices=["auto"] + list_algorithms(),
+    device = argparse.ArgumentParser(add_help=False)
+    device.add_argument("--device", default="titan-x-maxwell", choices=list_devices())
+    workload = argparse.ArgumentParser(add_help=False, parents=[device])
+    workload.add_argument("--n", type=int, default=1 << 20, help="input size")
+    workload.add_argument("--k", type=int, default=32)
+    workload.add_argument(
+        "--algorithm", default="auto", choices=["auto"] + list_algorithms()
     )
-    run.add_argument(
+    workload.add_argument(
         "--distribution", default="uniform", choices=list_distributions()
     )
-    run.add_argument("--device", default="titan-x-maxwell", choices=list_devices())
-    run.add_argument(
+    workload.add_argument(
         "--model-n", type=int, default=None,
         help="input size the execution trace models (default: --n)",
     )
-    run.add_argument("--seed", type=int, default=0)
+    workload.add_argument("--seed", type=int, default=0)
+
+    def command(name, handler, help_text, parents=(device,)):
+        sub = commands.add_parser(name, help=help_text, parents=list(parents))
+        sub.set_defaults(handler=handler)
+        return sub
+
+    run = command(
+        "topk", _command_topk, "run a top-k and report timings", (workload,)
+    )
     run.add_argument(
         "--timeline", action="store_true", help="print the kernel timeline"
     )
 
-    plan = commands.add_parser("plan", help="rank algorithms by predicted cost")
+    plan = command("plan", _command_plan, "rank algorithms by predicted cost")
     plan.add_argument("--n", type=int, default=1 << 29)
     plan.add_argument("--k", type=int, default=64)
     plan.add_argument("--dtype", default="float32", choices=sorted(_DTYPES))
     plan.add_argument("--profile", default="uniform-float", choices=sorted(PROFILES))
-    plan.add_argument("--device", default="titan-x-maxwell", choices=list_devices())
 
-    explain = commands.add_parser(
+    explain = command(
         "explain",
-        help="cost out a SQL query on synthetic tweets, or (with "
-             "--window/--decay) a continuous subscription over the stream",
+        _command_explain,
+        "cost out a SQL query on synthetic tweets, or (with "
+        "--window/--decay) a continuous subscription over the stream",
+        parents=(),
     )
     explain.add_argument(
         "sql", nargs="?", default=None,
@@ -131,36 +141,22 @@ def build_parser() -> argparse.ArgumentParser:
         help="subscription EXPLAIN: result size",
     )
 
-    for name, help_text in [
-        ("trace", "run a workload under tracing and export the trace"),
-        ("profile", "run a workload and print its span tree + metrics"),
+    for name, handler, help_text in [
+        ("trace", _command_trace,
+         "run a workload under tracing and export the trace"),
+        ("profile", _command_profile,
+         "run a workload and print its span tree + metrics"),
     ]:
-        sub = commands.add_parser(name, help=help_text)
+        sub = command(name, handler, help_text, (workload,))
         sub.add_argument(
             "sql", nargs="?", default=None,
             help="optional SQL query (table must be 'tweets'); "
                  "when omitted a top-k workload is traced instead",
         )
-        sub.add_argument("--n", type=int, default=1 << 20, help="input size")
-        sub.add_argument("--k", type=int, default=32)
-        sub.add_argument(
-            "--algorithm", default="auto", choices=["auto"] + list_algorithms()
-        )
-        sub.add_argument(
-            "--distribution", default="uniform", choices=list_distributions()
-        )
-        sub.add_argument(
-            "--device", default="titan-x-maxwell", choices=list_devices()
-        )
-        sub.add_argument(
-            "--model-n", type=int, default=None,
-            help="input size the execution trace models (default: --n)",
-        )
         sub.add_argument("--rows", type=int, default=1 << 16,
                          help="functional table size (SQL mode)")
         sub.add_argument("--model-rows", type=int, default=None,
                          help="modeled table size (SQL mode)")
-        sub.add_argument("--seed", type=int, default=0)
         if name == "trace":
             sub.add_argument(
                 "--out", default="trace.json",
@@ -172,9 +168,11 @@ def build_parser() -> argparse.ArgumentParser:
                 help="chrome://tracing JSON or JSON-lines",
             )
 
-    chaos = commands.add_parser(
+    chaos = command(
         "chaos",
-        help="run the fault-injection chaos suite and report survival",
+        _command_chaos,
+        "run the fault-injection chaos suite and report survival",
+        parents=(),
     )
     chaos.add_argument("--seed", type=int, default=0)
     chaos.add_argument("--trials", type=int, default=50)
@@ -183,10 +181,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit the full report as JSON instead of the text summary",
     )
 
-    serve = commands.add_parser(
+    serve = command(
         "serve-bench",
-        help="replay a synthetic workload through the serving layer and "
-             "compare against sequential execution",
+        _command_serve_bench,
+        "replay a synthetic workload through the serving layer and "
+        "compare against sequential execution",
     )
     serve.add_argument("--queries", type=int, default=1000)
     serve.add_argument("--shapes", type=int, default=4,
@@ -194,7 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--n", type=int, default=512, help="row length")
     serve.add_argument("--k", type=int, default=8, help="base k (shape i uses k + i)")
     serve.add_argument("--seed", type=int, default=0)
-    serve.add_argument("--device", default="titan-x-maxwell", choices=list_devices())
     serve.add_argument("--max-batch", type=int, default=128,
                        help="largest number of queries fused into one launch")
     serve.add_argument("--no-cache", action="store_true",
@@ -203,10 +201,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="disable cross-query batching (serve per query)")
     add_report_arguments(serve, "BENCH_serving.json")
 
-    approx = commands.add_parser(
+    approx = command(
         "approx-bench",
-        help="sweep the bucketed approximate top-k against the exact "
-             "bitonic plan: simulated speedup vs. measured recall",
+        _command_approx_bench,
+        "sweep the bucketed approximate top-k against the exact "
+        "bitonic plan: simulated speedup vs. measured recall",
     )
     approx.add_argument(
         "--n", type=int, action="append", dest="ns", default=None,
@@ -226,15 +225,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="functional array size cap (the trace still models --n)",
     )
     approx.add_argument("--seed", type=int, default=0)
-    approx.add_argument(
-        "--device", default="titan-x-maxwell", choices=list_devices()
-    )
     add_report_arguments(approx, "BENCH_approx.json")
 
-    shard = commands.add_parser(
+    shard = command(
         "shard-bench",
-        help="scale one large top-k across simulated devices and check the "
-             "partition-parallel scaling curve (exactness + monotonicity)",
+        _command_shard_bench,
+        "scale one large top-k across simulated devices and check the "
+        "partition-parallel scaling curve (exactness + monotonicity)",
     )
     shard.add_argument(
         "--n", type=int, default=None, dest="model_n",
@@ -252,15 +249,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="functional array size cap (the trace still models --n)",
     )
     shard.add_argument("--seed", type=int, default=None)
-    shard.add_argument(
-        "--device", default="titan-x-maxwell", choices=list_devices()
-    )
     add_report_arguments(shard, "BENCH_sharding.json")
 
-    slo = commands.add_parser(
+    slo = command(
         "slo-bench",
-        help="sweep offered load past saturation and compare the SLO "
-             "scheduler (EDF + degradation ladder) against the FIFO baseline",
+        _command_slo_bench,
+        "sweep offered load past saturation and compare the SLO "
+        "scheduler (EDF + degradation ladder) against the FIFO baseline",
     )
     slo.add_argument("--queries", type=int, default=120)
     slo.add_argument(
@@ -273,15 +268,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="open-loop arrival process",
     )
     slo.add_argument("--seed", type=int, default=0)
-    slo.add_argument(
-        "--device", default="titan-x-maxwell", choices=list_devices()
-    )
     add_report_arguments(slo, "BENCH_slo.json")
 
-    radix = commands.add_parser(
+    radix = command(
         "radix-bench",
-        help="sweep the RadiK-style radix kernel against the strawman and "
-             "bitonic across (k, batch): large-k crossover + fused batching",
+        _command_radix_bench,
+        "sweep the RadiK-style radix kernel against the strawman and "
+        "bitonic across (k, batch): large-k crossover + fused batching",
     )
     radix.add_argument(
         "--n", type=int, default=None, dest="model_n",
@@ -310,16 +303,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="functional array size cap (the trace still models --n)",
     )
     radix.add_argument("--seed", type=int, default=None)
-    radix.add_argument(
-        "--device", default="titan-x-maxwell", choices=list_devices()
-    )
     add_report_arguments(radix, "BENCH_radix.json")
 
-    stream = commands.add_parser(
+    stream = command(
         "stream-bench",
-        help="drive the seeded tweet stream through incremental and "
-             "recompute maintenance: per-tick bit-equality + the "
-             "incremental speedup gate",
+        _command_stream_bench,
+        "drive the seeded tweet stream through incremental and "
+        "recompute maintenance: per-tick bit-equality + the "
+        "incremental speedup gate",
     )
     stream.add_argument("--k", type=int, default=None, help="result size")
     stream.add_argument(
@@ -347,16 +338,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-chunk summarize parallelism (contiguous shard ranges)",
     )
     stream.add_argument("--seed", type=int, default=None)
-    stream.add_argument(
-        "--device", default="titan-x-maxwell", choices=list_devices()
-    )
     add_report_arguments(stream, "BENCH_streaming.json")
 
-    calibrate = commands.add_parser(
+    calibrate = command(
         "calibrate",
-        help="replay a seeded workload through every candidate kernel, fit "
-             "per-kernel correction factors, and report planner Q-error "
-             "before/after calibration",
+        _command_calibrate,
+        "replay a seeded workload through every candidate kernel, fit "
+        "per-kernel correction factors, and report planner Q-error "
+        "before/after calibration",
     )
     calibrate.add_argument(
         "--n", type=int, action="append", dest="ns", default=None,
@@ -369,13 +358,11 @@ def build_parser() -> argparse.ArgumentParser:
              "increasing (default: 8 64 256 1024)",
     )
     calibrate.add_argument(
-        "--profile", default=None, choices=sorted(PROFILES),
+        "--profile", dest="profile_name", default=None,
+        choices=sorted(PROFILES),
         help="workload profile of the replay (default: uniform-float)",
     )
     calibrate.add_argument("--seed", type=int, default=None)
-    calibrate.add_argument(
-        "--device", default="titan-x-maxwell", choices=list_devices()
-    )
     add_report_arguments(calibrate)
     calibrate.add_argument(
         "--store", default=None,
@@ -389,16 +376,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _command_topk(arguments) -> int:
-    device = get_device(arguments.device)
+def _run_topk(arguments, device):
+    """Generate the flags' input and run the top-k on it."""
     data = generate(arguments.distribution, arguments.n, arguments.seed)
-    result = topk(
+    return data, topk(
         data,
         arguments.k,
         algorithm=arguments.algorithm,
         device=device,
         model_n=arguments.model_n,
     )
+
+
+def _command_topk(arguments) -> int:
+    device = get_device(arguments.device)
+    data, result = _run_topk(arguments, device)
     model_n = arguments.model_n or arguments.n
     print(f"algorithm   : {result.algorithm}")
     print(f"n / k       : {arguments.n} / {arguments.k} "
@@ -478,15 +470,8 @@ def _run_observed(arguments) -> tuple[obs.Observation, float]:
         result = session.sql(arguments.sql, model_rows=arguments.model_rows)
         simulated_ms = result.simulated_ms()
     else:
-        data = generate(arguments.distribution, arguments.n, arguments.seed)
         with observation.activate():
-            result = topk(
-                data,
-                arguments.k,
-                algorithm=arguments.algorithm,
-                device=device,
-                model_n=arguments.model_n,
-            )
+            _, result = _run_topk(arguments, device)
         simulated_ms = result.simulated_ms(device)
     return observation, simulated_ms
 
@@ -537,33 +522,34 @@ def _command_chaos(arguments) -> int:
     return 0 if report.survived else 1
 
 
+def _workload(cls, arguments):
+    """Build a bench workload from the flags the user set.
+
+    Every dataclass field whose flag was given (not ``None``) overrides
+    the field's default; repeatable flags arrive as lists and are frozen
+    to tuples.
+    """
+    overrides = {}
+    for field in dataclasses.fields(cls):
+        value = getattr(arguments, field.name, None)
+        if value is not None:
+            overrides[field.name] = (
+                tuple(value) if isinstance(value, list) else value
+            )
+    return cls(**overrides)
+
+
 def _command_serve_bench(arguments) -> int:
     from repro.serving import Workload, check_baseline, run_serving_benchmark
 
     report = run_serving_benchmark(
-        Workload(
-            queries=arguments.queries,
-            shapes=arguments.shapes,
-            n=arguments.n,
-            k=arguments.k,
-            seed=arguments.seed,
-        ),
+        _workload(Workload, arguments),
         device=get_device(arguments.device),
         cache=not arguments.no_cache,
         batching=not arguments.no_batch,
         max_batch=arguments.max_batch,
     )
-    return finish_report(
-        report,
-        arguments,
-        gates=[
-            (
-                report.identical,
-                "served results are not bit-equal to sequential results",
-            ),
-        ],
-        check_baseline=check_baseline,
-    )
+    return finish_report(report, arguments, report.gates(), check_baseline)
 
 
 def _command_approx_bench(arguments) -> int:
@@ -573,32 +559,11 @@ def _command_approx_bench(arguments) -> int:
         run_approx_benchmark,
     )
 
-    defaults = ApproxWorkload()
     report = run_approx_benchmark(
-        ApproxWorkload(
-            ns=tuple(arguments.ns) if arguments.ns else defaults.ns,
-            ks=tuple(arguments.ks) if arguments.ks else defaults.ks,
-            buckets=(
-                tuple(arguments.buckets)
-                if arguments.buckets
-                else defaults.buckets
-            ),
-            functional_cap=arguments.functional_cap,
-            seed=arguments.seed,
-        ),
+        _workload(ApproxWorkload, arguments),
         device=get_device(arguments.device),
     )
-    return finish_report(
-        report,
-        arguments,
-        gates=[
-            (
-                report.headline is None or report.passed,
-                "the headline speedup/recall gate failed",
-            ),
-        ],
-        check_baseline=check_baseline,
-    )
+    return finish_report(report, arguments, report.gates(), check_baseline)
 
 
 def _command_shard_bench(arguments) -> int:
@@ -608,46 +573,11 @@ def _command_shard_bench(arguments) -> int:
         run_sharding_benchmark,
     )
 
-    defaults = ShardWorkload()
     report = run_sharding_benchmark(
-        ShardWorkload(
-            model_n=(
-                arguments.model_n
-                if arguments.model_n is not None
-                else defaults.model_n
-            ),
-            k=arguments.k if arguments.k is not None else defaults.k,
-            shard_counts=(
-                tuple(arguments.shard_counts)
-                if arguments.shard_counts
-                else defaults.shard_counts
-            ),
-            functional_cap=(
-                arguments.functional_cap
-                if arguments.functional_cap is not None
-                else defaults.functional_cap
-            ),
-            seed=arguments.seed if arguments.seed is not None else defaults.seed,
-        ),
+        _workload(ShardWorkload, arguments),
         device=get_device(arguments.device),
     )
-    return finish_report(
-        report,
-        arguments,
-        gates=[
-            (
-                report.identical,
-                "sharded results are not bit-equal to the single-device "
-                "reference",
-            ),
-            (
-                report.monotonic,
-                "simulated time does not improve monotonically across the "
-                "gated shard counts",
-            ),
-        ],
-        check_baseline=check_baseline,
-    )
+    return finish_report(report, arguments, report.gates(), check_baseline)
 
 
 def _command_slo_bench(arguments) -> int:
@@ -660,18 +590,7 @@ def _command_slo_bench(arguments) -> int:
         seed=arguments.seed,
         device=get_device(arguments.device),
     )
-    return finish_report(
-        report,
-        arguments,
-        gates=[
-            (
-                report.passed,
-                "an SLO property gate failed (dominance, recall honesty, or "
-                "below-saturation exactness)",
-            ),
-        ],
-        check_baseline=check_baseline,
-    )
+    return finish_report(report, arguments, report.gates(), check_baseline)
 
 
 def _command_radix_bench(arguments) -> int:
@@ -681,100 +600,25 @@ def _command_radix_bench(arguments) -> int:
         run_radix_benchmark,
     )
 
-    defaults = RadixWorkload()
     report = run_radix_benchmark(
-        RadixWorkload(
-            model_n=(
-                arguments.model_n
-                if arguments.model_n is not None
-                else defaults.model_n
-            ),
-            ks=tuple(arguments.ks) if arguments.ks else defaults.ks,
-            functional_cap=(
-                arguments.functional_cap
-                if arguments.functional_cap is not None
-                else defaults.functional_cap
-            ),
-            batch_sizes=(
-                tuple(arguments.batch_sizes)
-                if arguments.batch_sizes
-                else defaults.batch_sizes
-            ),
-            batch_n=(
-                arguments.batch_n
-                if arguments.batch_n is not None
-                else defaults.batch_n
-            ),
-            batch_k=(
-                arguments.batch_k
-                if arguments.batch_k is not None
-                else defaults.batch_k
-            ),
-            seed=arguments.seed if arguments.seed is not None else defaults.seed,
-        ),
+        _workload(RadixWorkload, arguments),
         device=get_device(arguments.device),
     )
-    return finish_report(
-        report,
-        arguments,
-        gates=[
-            (
-                report.identical,
-                "a radix result is not bit-equal to the reference order",
-            ),
-            (
-                report.large_k_monotonic,
-                "the monotonic large-k gate failed (speedup over bitonic "
-                "shrank with k, or radik lost a gated point)",
-            ),
-            (
-                report.batch_amortizes,
-                "the fused batch did not beat per-query execution at every "
-                "batch >= 2",
-            ),
-        ],
-        check_baseline=check_baseline,
-    )
+    return finish_report(report, arguments, report.gates(), check_baseline)
 
 
 def _command_stream_bench(arguments) -> int:
     from repro.streaming import (
-        GATE_SPEEDUP,
         StreamWorkload,
         check_baseline,
         run_streaming_benchmark,
     )
 
-    defaults = StreamWorkload()
-    overrides = {
-        name: getattr(arguments, name)
-        for name in (
-            "k", "chunk_rows", "model_chunk_rows", "window_chunks",
-            "ticks", "decay", "shards", "seed",
-        )
-        if getattr(arguments, name) is not None
-    }
     report = run_streaming_benchmark(
-        StreamWorkload(**{**defaults.to_dict(), **overrides}),
+        _workload(StreamWorkload, arguments),
         device=get_device(arguments.device),
     )
-    return finish_report(
-        report,
-        arguments,
-        gates=[
-            (
-                report.identical,
-                "an incremental answer is not bit-equal to its recompute "
-                "oracle",
-            ),
-            (
-                report.fast_enough,
-                f"incremental speedup {report.measured_speedup:.2f}x is "
-                f"below the {GATE_SPEEDUP:.1f}x gate",
-            ),
-        ],
-        check_baseline=check_baseline,
-    )
+    return finish_report(report, arguments, report.gates(), check_baseline)
 
 
 def _command_calibrate(arguments) -> int:
@@ -784,86 +628,34 @@ def _command_calibrate(arguments) -> int:
     )
     from repro.costmodel.calibration import CalibrationStore
 
-    defaults = CalibrationWorkload()
-    workload = CalibrationWorkload(
-        ns=tuple(arguments.ns) if arguments.ns else defaults.ns,
-        ks=tuple(arguments.ks) if arguments.ks else defaults.ks,
-        profile_name=(
-            arguments.profile
-            if arguments.profile is not None
-            else defaults.profile_name
-        ),
-        seed=arguments.seed if arguments.seed is not None else defaults.seed,
-    )
     store = (
         CalibrationStore.load(arguments.load)
         if arguments.load
         else CalibrationStore()
     )
     report = run_calibration_benchmark(
-        workload, device=get_device(arguments.device), store=store
+        _workload(CalibrationWorkload, arguments),
+        device=get_device(arguments.device),
+        store=store,
     )
     if arguments.store:
         store.save(arguments.store)
-    return finish_report(
-        report,
-        arguments,
-        gates=[
-            (
-                report.q_error_improves,
-                "post-calibration p95 Q-error exceeds pre-calibration",
-            ),
-            (
-                report.decisions_optimal,
-                "a fitted correction drifted a planner decision away from "
-                "the observed optimum",
-            ),
-            (
-                report.default_unchanged,
-                "replanning with calibrate=False did not reproduce the "
-                "baseline decisions",
-            ),
-        ],
-    )
+    return finish_report(report, arguments, report.gates())
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     arguments = parser.parse_args(argv)
+    if arguments.command is None:
+        parser.print_help()
+        return 2
     try:
-        if arguments.command == "topk":
-            return _command_topk(arguments)
-        if arguments.command == "plan":
-            return _command_plan(arguments)
-        if arguments.command == "explain":
-            return _command_explain(arguments)
-        if arguments.command == "trace":
-            return _command_trace(arguments)
-        if arguments.command == "profile":
-            return _command_profile(arguments)
-        if arguments.command == "chaos":
-            return _command_chaos(arguments)
-        if arguments.command == "serve-bench":
-            return _command_serve_bench(arguments)
-        if arguments.command == "approx-bench":
-            return _command_approx_bench(arguments)
-        if arguments.command == "shard-bench":
-            return _command_shard_bench(arguments)
-        if arguments.command == "slo-bench":
-            return _command_slo_bench(arguments)
-        if arguments.command == "radix-bench":
-            return _command_radix_bench(arguments)
-        if arguments.command == "stream-bench":
-            return _command_stream_bench(arguments)
-        if arguments.command == "calibrate":
-            return _command_calibrate(arguments)
+        return arguments.handler(arguments)
     except ReproError as error:
         # One-line typed diagnostics; each error class has its own exit
         # code so scripts can dispatch on the failure mode.
         print(f"error: {type(error).__name__}: {error}", file=sys.stderr)
         return exit_code(error)
-    parser.print_help()
-    return 2
 
 
 if __name__ == "__main__":

@@ -376,7 +376,17 @@ class QueryExecutor:
             ranks = self._rank_array(keys[0][0])
             if not keys[0][1]:
                 ranks = -ranks
-            candidate_ranks = ranks[mask].astype(np.float32)
+            # The select kernels run on float32 keys, which hold integers
+            # only up to 2^24 (tweet_time is ~1.5e9): fall back to float64
+            # when the narrowing would merge or reorder any candidate key.
+            # The NaN-aware comparison is ~5x slower than the plain one,
+            # so it runs only for keys the plain one rejects.
+            candidate_ranks = ranks[mask]
+            narrowed = candidate_ranks.astype(np.float32)
+            if np.array_equal(narrowed, candidate_ranks) or np.array_equal(
+                narrowed, candidate_ranks, equal_nan=True
+            ):
+                candidate_ranks = narrowed
             order, approx_trace = self._run_selection(
                 plan, candidate_ranks, k, matched_model
             )

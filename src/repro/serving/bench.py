@@ -122,6 +122,15 @@ class ServeBenchReport:
     def hit_rate(self) -> float:
         return self.cache.get("hit_rate", 0.0)
 
+    def gates(self) -> list[tuple[bool, str]]:
+        """The ``(passed, message)`` gates ``serve-bench`` exits on."""
+        return [
+            (
+                self.identical,
+                "served results are not bit-equal to sequential results",
+            ),
+        ]
+
     def to_dict(self) -> dict:
         queries = self.workload.queries
         return {

@@ -160,9 +160,24 @@ class ShardBenchReport:
             for earlier, later in zip(gated, gated[1:])
         )
 
+    def gates(self) -> list[tuple[bool, str]]:
+        """The ``(passed, message)`` gates ``shard-bench`` exits on."""
+        return [
+            (
+                self.identical,
+                "sharded results are not bit-equal to the single-device "
+                "reference",
+            ),
+            (
+                self.monotonic,
+                "simulated time does not improve monotonically across the "
+                "gated shard counts",
+            ),
+        ]
+
     @property
     def passed(self) -> bool:
-        return self.identical and self.monotonic
+        return all(passed for passed, _ in self.gates())
 
     def speedup(self, point: ShardPoint) -> float:
         base = self.points[0].simulated_ms if self.points else 0.0

@@ -137,6 +137,17 @@ class SloBenchReport:
             self.dominates and self.recall_honest and self.exact_below_saturation
         )
 
+    def gates(self) -> list[tuple[bool, str]]:
+        """The ``(passed, message)`` gates ``slo-bench`` exits on: the
+        three properties fail as one."""
+        return [
+            (
+                self.passed,
+                "an SLO property gate failed (dominance, recall honesty, or "
+                "below-saturation exactness)",
+            ),
+        ]
+
     def to_dict(self) -> dict:
         return {
             "format": REPORT_FORMAT,

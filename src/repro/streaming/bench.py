@@ -204,9 +204,24 @@ class StreamBenchReport:
     def fast_enough(self) -> bool:
         return self.measured_speedup >= GATE_SPEEDUP
 
+    def gates(self) -> list[tuple[bool, str]]:
+        """The ``(passed, message)`` gates ``stream-bench`` exits on."""
+        return [
+            (
+                self.identical,
+                "an incremental answer is not bit-equal to its recompute "
+                "oracle",
+            ),
+            (
+                self.fast_enough,
+                f"incremental speedup {self.measured_speedup:.2f}x is "
+                f"below the {GATE_SPEEDUP:.1f}x gate",
+            ),
+        ]
+
     @property
     def passed(self) -> bool:
-        return self.identical and self.fast_enough
+        return all(passed for passed, _ in self.gates())
 
     def to_dict(self) -> dict:
         return {

@@ -178,6 +178,48 @@ class TestPlainScans:
         assert result.column("a").tolist() == [0, 1, 2]
 
 
+class TestOrderByPrecision:
+    """Single-key ORDER BY must rank on the exact key, not a float32 copy:
+    float32 holds integers exactly only up to 2^24."""
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_tweet_time_order(self, device, strategy, shards):
+        tweets = generate_tweets(1 << 16, 0)
+        session = Session(device, shards=shards)
+        session.register(tweets)
+        result = session.sql(
+            "SELECT id, tweet_time FROM tweets ORDER BY tweet_time DESC "
+            "LIMIT 10",
+            strategy=strategy,
+        )
+        times = tweets.column("tweet_time").astype(np.int64)
+        expected = np.lexsort((np.arange(len(times)), -times))[:10]
+        assert result.column("tweet_time").tolist() == times[expected].tolist()
+        assert result.column("id").tolist() == (
+            tweets.column("id")[expected].tolist()
+        )
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize(
+        "direction, expected", [("DESC", 16777217), ("ASC", 16777216)]
+    )
+    def test_adjacent_ids_above_2_24(self, device, strategy, direction,
+                                     expected):
+        # Both ids round to 16777216.0 in float32; the tie would return
+        # whichever row comes first.
+        rows = [16777216, 16777217] if direction == "DESC" else [
+            16777217, 16777216
+        ]
+        table = make_table("ids", {"id": np.array(rows, dtype=np.int64)})
+        executor = QueryExecutor(table, device)
+        result = executor.sql(
+            f"SELECT id FROM ids ORDER BY id {direction} LIMIT 1",
+            strategy=strategy,
+        )
+        assert result.column("id").tolist() == [expected]
+
+
 class TestErrors:
     def test_unknown_strategy(self, session):
         with pytest.raises(UnsupportedQueryError):
