@@ -10,8 +10,8 @@ Examples::
         DESC LIMIT 50" --rows 262144 --model-rows 250000000
     python -m repro explain --k 64 --window 262144 --chunk-rows 16384
     python -m repro trace --n 1048576 --k 32 --out trace.json
-    python -m repro trace "SELECT id FROM tweets ORDER BY likes DESC \\
-        LIMIT 50" --rows 262144
+    python -m repro trace "SELECT id FROM tweets ORDER BY likes_count \\
+        DESC LIMIT 50" --rows 262144
     python -m repro profile --n 1048576 --k 32
     python -m repro chaos --seed 0 --trials 50
     python -m repro serve-bench --queries 1000 --shapes 4 --n 512 --k 8

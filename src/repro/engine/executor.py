@@ -13,6 +13,9 @@ strategies compared in Section 6.8:
 
 GROUP BY ... ORDER BY count queries run a hash-aggregation kernel first
 and then apply the chosen top-k strategy to the per-group counts (query 4).
+Functionally the aggregation is ``np.bincount`` over the table's cached
+group codes (:meth:`~repro.engine.table.Table.group_codes`), O(n) per
+query like the hash table it models.
 
 Functional results are exact (numpy); traces account the kernels each
 strategy would launch, scaled to ``model_rows`` when the caller wants
@@ -614,10 +617,29 @@ class QueryExecutor:
             )
         group_column = query.group_by[0]
         mask = self._filter_mask(query)
-        keys = self.table.column(group_column)[mask]
-        groups, inverse, counts = np.unique(
-            keys, return_inverse=True, return_counts=True
-        )
+        uniques, codes = self.table.group_codes(group_column)
+        inverse = codes[mask]
+        counts = np.bincount(inverse, minlength=len(uniques))
+        present = np.flatnonzero(counts)
+        counts = counts[present]
+        groups = uniques[present]
+        if groups.dtype.kind == "f":
+            keys = self.table.column(group_column)[mask]
+            bits = f"u{keys.itemsize}"
+            if np.any(keys.view(bits) != uniques[inverse].view(bits)):
+                # A group holding both -0.0 and 0.0 (or NaNs with
+                # different payloads) is named by whichever bit pattern
+                # np.unique's sort of the selected rows puts first; only
+                # that sort reproduces the name.
+                groups = np.unique(
+                    keys, return_inverse=True, return_counts=True
+                )[0]
+        if len(present) < len(uniques):
+            # Renumber the present groups 0..len(groups)-1 in key order.
+            renumber = np.zeros(len(uniques), dtype=np.intp)
+            renumber[present] = np.arange(len(present))
+            inverse = renumber[inverse]
+        obs.current_span().set(rows_in=len(inverse), groups=len(groups))
 
         aggregates: dict[str, np.ndarray] = {}
         for item in aggregate_items:

@@ -5,6 +5,13 @@ database keeps resident in device memory.  String columns are
 dictionary-encoded at ingestion (int32 codes plus a value dictionary),
 which is both what MapD does and what makes string predicates evaluable as
 integer comparisons on the device.
+
+GROUP BY reads a column through :meth:`Table.group_codes`: its sorted
+distinct values plus one int32 code per row, the dense group ids a hash
+aggregation would assign.  The encoding is built on first use with one
+``np.unique`` sort and kept on the table, so a grouped query counts with
+``np.bincount`` over the codes instead of sorting its keys.  String
+columns are encoded the same way, over their dictionary codes.
 """
 
 from __future__ import annotations
@@ -23,6 +30,9 @@ class Table:
     name: str
     columns: dict[str, np.ndarray]
     dictionaries: dict[str, list[str]] = field(default_factory=dict)
+    _group_codes: dict[str, tuple[np.ndarray, np.ndarray]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not self.columns:
@@ -70,6 +80,24 @@ class Table:
         """Materialize string values from dictionary codes."""
         dictionary = self.dictionaries[column]
         return [dictionary[int(code)] if code >= 0 else "" for code in codes]
+
+    def group_codes(self, name: str) -> tuple[np.ndarray, np.ndarray]:
+        """``np.unique(column, return_inverse=True)`` with int32 codes,
+        both arrays read-only: ``uniques`` holds the sorted distinct
+        values (NaNs collapse into one trailing group, ``-0.0`` and
+        ``0.0`` into one) and ``codes[i]`` is row i's index in it.
+
+        Built once per table on first use.  Two threads racing on the
+        first call both compute the same encoding, and either is kept.
+        """
+        encoding = self._group_codes.get(name)
+        if encoding is None:
+            uniques, codes = np.unique(self.column(name), return_inverse=True)
+            codes = codes.astype(np.int32)
+            uniques.flags.writeable = False
+            codes.flags.writeable = False
+            encoding = self._group_codes[name] = (uniques, codes)
+        return encoding
 
     def column_bytes(self, name: str) -> int:
         """Bytes one full scan of the column reads."""

@@ -41,6 +41,18 @@ class TestRepositoryDocs:
     def test_documented_python_imports_resolve(self):
         assert checker.check_python_imports() == []
 
+    def test_documented_sql_runs(self):
+        assert checker.check_sql_examples() == []
+
+    def test_cli_docstring_examples_are_read(self):
+        assert (
+            "src/repro/cli.py",
+            "SELECT id FROM tweets ORDER BY likes_count DESC LIMIT 50",
+        ) in checker.sql_examples()
+        assert ("src/repro/cli.py", "repro calibrate") in (
+            checker.cli_invocations()
+        )
+
     def test_examples_cover_the_new_surfaces(self):
         commands = {command for _, command in checker.cli_invocations()}
         assert "repro approx-bench" in commands
@@ -66,6 +78,34 @@ class TestCheckerCatchesRot(object):
         doc = tmp_path / "doc.md"
         doc.write_text("```bash\npython -m repro no-such-command --n 4\n```\n")
         problems = checker.check_cli_examples([doc])
+        assert len(problems) == 1
+        assert "no-such-command" in problems[0]
+
+    def test_sql_naming_a_missing_column_is_reported(self, tmp_path):
+        doc = tmp_path / "doc.md"
+        doc.write_text(
+            "```bash\n"
+            'python -m repro trace "SELECT id FROM tweets ORDER BY likes \\\n'
+            '    DESC LIMIT 5" --rows 1024\n'
+            'python -m repro explain "SELECT id FROM tweets '
+            'ORDER BY likes_count DESC LIMIT 5"\n'
+            "```\n"
+        )
+        assert [sql for _, sql in checker.sql_examples([doc])] == [
+            "SELECT id FROM tweets ORDER BY likes DESC LIMIT 5",
+            "SELECT id FROM tweets ORDER BY likes_count DESC LIMIT 5",
+        ]
+        problems = checker.check_sql_examples([doc])
+        assert len(problems) == 1
+        assert "ORDER BY likes DESC" in problems[0]
+        assert problems[0].endswith("exits 3")
+
+    def test_module_docstring_commands_are_checked(self, tmp_path):
+        module = tmp_path / "cli.py"
+        module.write_text(
+            '"""Examples::\n\n    python -m repro no-such-command\n"""\n'
+        )
+        problems = checker.check_cli_examples([module])
         assert len(problems) == 1
         assert "no-such-command" in problems[0]
 

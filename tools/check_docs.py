@@ -1,20 +1,25 @@
 #!/usr/bin/env python
 """Documentation checker behind the CI ``docs`` job.
 
-Four families of checks over ``README.md`` and ``docs/*.md``:
+Five families of checks over ``README.md`` and ``docs/*.md``:
 
 1. **Links** — every intra-repo markdown link ``[text](target)`` must
    resolve to an existing file or directory (anchors are stripped;
    ``http(s)``/``mailto`` targets are skipped).
 2. **CLI examples** — every ``python -m repro ...`` line inside a fenced
-   ``bash`` block must name a real subcommand: the named command is
-   smoke-run with ``--help`` and must exit 0.  This catches renamed or
-   removed commands without paying for full example runs.
-3. **Python imports** — every name in a ``from repro... import ...``
+   ``bash`` block, or in the ``repro.cli`` module docstring, must name a
+   real subcommand: the named command is smoke-run with ``--help`` and
+   must exit 0.  This catches renamed or removed commands without paying
+   for full example runs.
+3. **SQL examples** — every SQL string quoted after ``python -m repro
+   explain``, ``trace`` or ``profile`` in those same places must run:
+   ``python -m repro explain "<sql>" --rows 4096`` must exit 0.  This
+   catches a query naming a column the tweets table does not have.
+4. **Python imports** — every name in a ``from repro... import ...``
    line inside a fenced ``python`` block must import: the module is
    imported and each name must be an attribute or a submodule of it.
    This catches a renamed or deleted class left behind in an example.
-4. **Coverage** — ``README.md`` must link every file under ``docs/``
+5. **Coverage** — ``README.md`` must link every file under ``docs/``
    (the docs index stays complete), ``docs/architecture.md`` must
    mention every package under ``src/repro/`` (the module table stays
    complete), and ``docs/cost_model.md`` must mention every
@@ -30,6 +35,7 @@ Exit status 0 = clean; 1 = problems (one per line on stderr).
 
 from __future__ import annotations
 
+import ast
 import importlib
 import os
 import re
@@ -38,6 +44,8 @@ import sys
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+#: The command line module; its docstring lists example invocations.
+CLI_MODULE = REPO_ROOT / "src" / "repro" / "cli.py"
 
 #: [text](target) — target captured up to the closing parenthesis.
 _LINK = re.compile(r"\[[^\]]+\]\(([^)\s]+)\)")
@@ -47,6 +55,10 @@ _FENCE = re.compile(r"^```(\w*)\s*$")
 _FROM_IMPORT = re.compile(
     r"^\s*from\s+(repro[.\w]*)\s+import\s+(\([^)]*\)|[^\n]+)", re.MULTILINE
 )
+#: The quoted SQL of ``python -m repro explain|trace|profile "<sql>"``.
+_SQL_EXAMPLE = re.compile(r'python -m repro (?:explain|trace|profile)\s+"([^"]+)"')
+#: Rows of the tweets table each SQL example runs against.
+SQL_EXAMPLE_ROWS = 4096
 #: Targets that are not repository paths.
 _EXTERNAL = ("http://", "https://", "mailto:")
 
@@ -103,18 +115,38 @@ def _fenced_lines(text: str, languages: tuple[str, ...]) -> list[str]:
     return lines
 
 
-def _bash_blocks(text: str) -> list[str]:
-    """The concatenated lines of every fenced ``bash``/``sh`` block."""
-    return _fenced_lines(text, ("bash", "sh", "shell", "console"))
+def _command_lines(path: Path) -> list[str]:
+    """The lines a document shows commands on, with ``\\`` continuations
+    joined: every fenced ``bash``/``sh`` block of a markdown file, or the
+    module docstring of a Python file."""
+    if path.suffix == ".py":
+        docstring = ast.get_docstring(ast.parse(path.read_text())) or ""
+        raw = [line.strip() for line in docstring.splitlines()]
+    else:
+        raw = _fenced_lines(
+            path.read_text(), ("bash", "sh", "shell", "console")
+        )
+    lines: list[str] = []
+    for line in raw:
+        if lines and lines[-1].endswith("\\"):
+            lines[-1] = lines[-1][:-1].rstrip() + " " + line
+        else:
+            lines.append(line)
+    return lines
+
+
+def command_sources() -> list[Path]:
+    """The documents plus the ``repro.cli`` module."""
+    return doc_files() + [CLI_MODULE]
 
 
 def cli_invocations(paths: list[Path] | None = None) -> list[tuple[str, str]]:
-    """All ``python -m repro...`` invocations found in bash blocks, as
-    ``(document, module-and-subcommand)`` pairs."""
+    """All ``python -m repro...`` invocations found in bash blocks and the
+    CLI docstring, as ``(document, module-and-subcommand)`` pairs."""
     found = []
     pattern = re.compile(r"python -m (repro[.\w]*)(?:\s+([\w-]+))?")
-    for path in paths or doc_files():
-        for line in _bash_blocks(path.read_text()):
+    for path in paths or command_sources():
+        for line in _command_lines(path):
             match = pattern.search(line)
             if not match:
                 continue
@@ -127,25 +159,57 @@ def cli_invocations(paths: list[Path] | None = None) -> list[tuple[str, str]]:
     return found
 
 
+def _run_repro(arguments: list[str]) -> int:
+    environment = dict(os.environ)
+    environment["PYTHONPATH"] = str(REPO_ROOT / "src")
+    return subprocess.run(
+        [sys.executable, "-m", *arguments],
+        capture_output=True,
+        cwd=REPO_ROOT,
+        env=environment,
+    ).returncode
+
+
 def check_cli_examples(paths: list[Path] | None = None) -> list[str]:
     """Smoke-run each distinct quoted CLI command with ``--help``."""
     problems = []
     seen: dict[str, bool] = {}
     for document, command in cli_invocations(paths):
         if command not in seen:
-            environment = dict(os.environ)
-            environment["PYTHONPATH"] = str(REPO_ROOT / "src")
-            completed = subprocess.run(
-                [sys.executable, "-m", *command.split(), "--help"],
-                capture_output=True,
-                cwd=REPO_ROOT,
-                env=environment,
-            )
-            seen[command] = completed.returncode == 0
+            seen[command] = _run_repro([*command.split(), "--help"]) == 0
         if not seen[command]:
             problems.append(
                 f"{document}: quoted command 'python -m {command}' does "
                 f"not answer --help"
+            )
+    return problems
+
+
+def sql_examples(paths: list[Path] | None = None) -> list[tuple[str, str]]:
+    """Every SQL string quoted after ``python -m repro explain``, ``trace``
+    or ``profile``, as ``(document, sql)`` pairs."""
+    return [
+        (_label(path), match.group(1))
+        for path in paths or command_sources()
+        for line in _command_lines(path)
+        for match in _SQL_EXAMPLE.finditer(line)
+    ]
+
+
+def check_sql_examples(paths: list[Path] | None = None) -> list[str]:
+    """Run each distinct documented SQL string through ``repro explain``
+    on a small tweets table."""
+    problems = []
+    status: dict[str, int] = {}
+    for document, sql in sql_examples(paths):
+        if sql not in status:
+            status[sql] = _run_repro(
+                ["repro", "explain", sql, "--rows", str(SQL_EXAMPLE_ROWS)]
+            )
+        if status[sql] != 0:
+            problems.append(
+                f"{document}: 'python -m repro explain \"{sql}\" --rows "
+                f"{SQL_EXAMPLE_ROWS}' exits {status[sql]}"
             )
     return problems
 
@@ -250,6 +314,7 @@ def run_all() -> list[str]:
     return (
         check_links()
         + check_cli_examples()
+        + check_sql_examples()
         + check_python_imports()
         + check_docs_index()
         + check_architecture_coverage()
@@ -267,6 +332,7 @@ def main() -> int:
         print(
             f"docs OK: {checked} documents, links resolve, "
             f"{len(commands)} distinct CLI commands answer --help, "
+            f"{len({sql for _, sql in sql_examples()})} SQL examples run, "
             f"{len(python_imports())} documented imports resolve"
         )
     return 1 if problems else 0
